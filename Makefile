@@ -14,6 +14,7 @@ build:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test-short:
 	$(GO) test -short ./...

@@ -2,11 +2,11 @@ package calibrate
 
 import (
 	"fmt"
-	"sync"
 
 	"ctcomm/internal/machine"
 	"ctcomm/internal/model"
 	"ctcomm/internal/netsim"
+	"ctcomm/internal/once"
 )
 
 // ToRateTable converts a measured calibration table plus the machine's
@@ -59,15 +59,7 @@ func RateTableForAt(m *machine.Machine, l netsim.Level) *model.RateTable {
 // model.RateTable (map copy + net-rate reconstruction) on every call,
 // which batch evaluation would pay once per cell. SharedRateTable
 // returns one immutable table per distinct configuration instead.
-var (
-	sharedMu     sync.Mutex
-	sharedTables = map[string]*sharedEntry{}
-)
-
-type sharedEntry struct {
-	once  sync.Once
-	table *model.RateTable
-}
+var sharedTables once.Map[string, *model.RateTable]
 
 // SharedRateTable is RateTableFor without the per-call table
 // reconstruction: the returned table is built at most once per distinct
@@ -94,13 +86,5 @@ func sharedTable(m *machine.Machine, suffix string, build func() *model.RateTabl
 	// network, topology and tier too. Hier is a pointer; include its
 	// value, not its address.
 	key := fingerprint(m, 0) + "|" + fmt.Sprintf("%+v|%+v|%+v%s", m.Net, m.Net.Hier, m.Topo, suffix)
-	sharedMu.Lock()
-	e, ok := sharedTables[key]
-	if !ok {
-		e = &sharedEntry{}
-		sharedTables[key] = e
-	}
-	sharedMu.Unlock()
-	e.once.Do(func() { e.table = build() })
-	return e.table
+	return sharedTables.Get(key, build)
 }

@@ -9,10 +9,10 @@ package calibrate
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"ctcomm/internal/machine"
+	"ctcomm/internal/once"
 	"ctcomm/internal/pattern"
 	"ctcomm/internal/sim"
 	"ctcomm/internal/xfer"
@@ -74,16 +74,14 @@ var memPatterns = []pattern.Spec{
 // Stats. Per-experiment attribution is therefore identical regardless of
 // which experiment happens to measure first, which keeps serial and
 // parallel runs byte-identical.
-type cacheEntry struct {
-	once     sync.Once
+type measurement struct {
 	table    *Table
 	accesses int64
 	simNs    int64
 }
 
 var (
-	cacheMu     sync.Mutex
-	cache       = map[string]*cacheEntry{}
+	cache       once.Map[string, measurement]
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 )
@@ -110,25 +108,14 @@ func Measure(m *machine.Machine, words int) *Table {
 	if words <= 0 {
 		words = DefaultWords
 	}
-	key := fingerprint(m, words)
-	cacheMu.Lock()
-	e, ok := cache[key]
-	if !ok {
-		e = &cacheEntry{}
-		cache[key] = e
-	}
-	cacheMu.Unlock()
-
 	hit := true
-	e.once.Do(func() {
+	e := cache.Get(fingerprint(m, words), func() measurement {
 		hit = false
 		cacheMisses.Add(1)
 		var st sim.Stats
 		clone := *m
 		clone.Observe(&st)
-		e.table = measureUncached(&clone, words)
-		e.accesses = st.Accesses()
-		e.simNs = int64(st.SimTime())
+		return measurement{measureUncached(&clone, words), st.Accesses(), int64(st.SimTime())}
 	})
 	if hit {
 		cacheHits.Add(1)

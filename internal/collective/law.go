@@ -1,11 +1,11 @@
 package collective
 
 import (
-	"sync"
-
 	"ctcomm/internal/aapc"
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 	"ctcomm/internal/netsim"
+	"ctcomm/internal/once"
 	"ctcomm/internal/pattern"
 	"ctcomm/internal/sim"
 )
@@ -24,22 +24,22 @@ import (
 // last-chunk size stays constant, shifting SendStream's flow-shop end
 // time by an exact integer delta per period. Congested phases run the
 // event engine, whose per-period delta is not proven constant — so,
-// exactly like the PR 6 price laws, a law is only admitted after
-// bitwise verification: fit on two probes, verify on three more
-// (including one far beyond the fit region), and fall back to the
-// engine for any family that fails. The engine remains the authority
-// on every input; a law changes cost, never answers.
+// exactly like the price laws, a law is only admitted under
+// internal/law's bitwise-verified admission contract, here with the far
+// probe always required, and the engine answers for any family that
+// fails it. The engine remains the authority on every input; a law
+// changes cost, never answers.
 //
 // Makespans are integer sim.Time nanoseconds, so the fit is integer
 // arithmetic end to end: Makespan(c*P + r) = t1 + (c-lawWordsC1)*(t2-t1),
 // reproduced bit for bit (MakespanNs is float64(t) on both paths).
 
 const (
-	// lawWordsC1 and lawWordsC2 are the period counts of the two fit
-	// probes. The network simulator has no warm-up (each phase starts
-	// with every resource idle), so the fit can start at one period.
+	// lawWordsC1 is the period count of the first fit probe; the second
+	// sits one period later. The network simulator has no warm-up (each
+	// phase starts with every resource idle), so the fit can start at
+	// one period.
 	lawWordsC1 = 1
-	lawWordsC2 = 2
 	// lawWordsC3 and lawWordsC4 are bitwise verification probes just
 	// past the fit region; lawWordsC5 is the far probe — four fit
 	// spans out, where an accidental two-point fit of a non-affine
@@ -52,10 +52,6 @@ const (
 	// the five probes cost 18 periods of evaluation, which must stay
 	// comparable to the big cells the law replaces.
 	lawWordsMaxPeriod = 4096
-	// lawWordsMaxWords bounds the word counts a law answers, keeping
-	// the integer extrapolation far from int64/float64 exactness
-	// limits. Sweeps ask for orders of magnitude less.
-	lawWordsMaxWords = 1 << 31
 )
 
 func gcd64(a, b int64) int64 {
@@ -104,17 +100,25 @@ func wordsPeriod(m *machine.Machine, s *aapc.Schedule) int64 {
 	return period
 }
 
-// wordsLaw is a fitted, bitwise-verified affine words law for one
-// (plan, machine, engine-flag) family and one residue class: for
-// words = c*period + residue with c >= lawWordsC1, the makespan is
-// t1 + (c-lawWordsC1)*(t2-t1) and every other Eval field is either
-// words-invariant (copied from the verified probes) or exactly affine
-// (ReplicaBytes).
-type wordsLaw struct {
-	period  int64
-	residue int64
-	base    Eval     // words-invariant fields, identical across all probes
-	t1, t2  sim.Time // integer makespans at lawWordsC1 and lawWordsC2 periods
+// probe is one evaluation of a family at a probe word count, with its
+// makespan as the integer the law extrapolates.
+type probe struct {
+	ev Eval
+	t  sim.Time
+}
+
+// wordsLaws is the law family of collective makespans: every
+// words-invariant Eval field must agree across the probes (sameShape),
+// and the integer makespan extrapolates exactly.
+var wordsLaws = law.Family[probe]{
+	C1:     lawWordsC1,
+	Verify: []int64{lawWordsC3, lawWordsC4},
+	Far:    lawWordsC5,
+	Pair:   func(p1, p2 probe) (ok, far bool) { return sameShape(p1.ev, p2.ev), true },
+	Predict: func(p1, p2 probe, n int64) probe {
+		return probe{ev: p1.ev, t: p1.t + sim.Time(n)*(p2.t-p1.t)}
+	},
+	Equal: func(pred, p probe) bool { return sameShape(pred.ev, p.ev) && pred.t == p.t },
 }
 
 // sameShape reports whether two evals agree on every words-invariant
@@ -130,62 +134,31 @@ func sameShape(a, b Eval) bool {
 		a.EnginePhases == b.EnginePhases
 }
 
-// fitWordsLaw probes the plan at five word counts in the residue
-// class, fits the affine law on the first two and admits it only if
-// the remaining three — including the far probe — reproduce the
-// evaluator bit for bit. Any probe error, shape drift, or makespan
-// mismatch yields nil and the caller falls back to Plan.Evaluate.
-func fitWordsLaw(p *Plan, m *machine.Machine, engine bool, period, residue int64) *wordsLaw {
-	run := func(c int64) (Eval, sim.Time, bool) {
-		ev, err := p.Evaluate(m, int(c*period+residue), engine)
+// fitWordsLaw fits the plan's words law for one (machine, engine-flag)
+// family and one residue class. Any probe error, float makespan, shape
+// drift, or makespan mismatch yields nil and the caller falls back to
+// Plan.Evaluate.
+func fitWordsLaw(p *Plan, m *machine.Machine, engine bool, period, residue int64) *law.Law[probe] {
+	return wordsLaws.Fit(period, residue, func(words int64) (probe, bool) {
+		ev, err := p.Evaluate(m, int(words), engine)
 		if err != nil {
-			return Eval{}, 0, false
+			return probe{}, false
 		}
 		// Makespans are integer nanoseconds reported as float64; the
 		// law extrapolates the integers, so they must round-trip.
 		t := sim.Time(ev.MakespanNs)
-		if float64(t) != ev.MakespanNs {
-			return Eval{}, 0, false
-		}
-		return ev, t, true
-	}
-	e1, t1, ok1 := run(lawWordsC1)
-	e2, t2, ok2 := run(lawWordsC2)
-	if !ok1 || !ok2 || !sameShape(e1, e2) {
-		return nil
-	}
-	l := &wordsLaw{period: period, residue: residue, base: e1, t1: t1, t2: t2}
-	for _, c := range []int64{lawWordsC3, lawWordsC4, lawWordsC5} {
-		ev, t, ok := run(c)
-		if !ok || !sameShape(e1, ev) || l.predict(c) != t {
-			return nil
-		}
-	}
-	return l
+		return probe{ev: ev, t: t}, float64(t) == ev.MakespanNs
+	})
 }
 
-// predict extrapolates the fitted integer makespan to c periods.
-func (l *wordsLaw) predict(c int64) sim.Time {
-	return l.t1 + sim.Time(c-lawWordsC1)*(l.t2-l.t1)
-}
-
-// covers reports whether the law may answer for words: same residue
-// class, at or past the first fit probe, and below the extrapolation
-// bound.
-func (l *wordsLaw) covers(words int64) bool {
-	return words >= lawWordsC1*l.period+l.residue &&
-		words <= lawWordsMaxWords &&
-		words%l.period == l.residue
-}
-
-// eval reconstructs the full Eval for words: invariant fields from the
-// verified probes, ReplicaBytes by its exact affine definition, and
-// the makespan by integer extrapolation. The caller must have checked
-// covers.
-func (l *wordsLaw) eval(words int64) Eval {
-	ev := l.base
+// evalAt reconstructs the full Eval for words from a law covering it:
+// invariant fields from the verified probes, ReplicaBytes by its exact
+// affine definition, and the makespan by integer extrapolation.
+func evalAt(l *law.Law[probe], words int64) Eval {
+	p := l.At(words)
+	ev := p.ev
 	ev.ReplicaBytes = ev.ReplicaBlocks * words * pattern.WordBytes
-	ev.MakespanNs = float64(l.predict(words / l.period))
+	ev.MakespanNs = float64(p.t)
 	return ev
 }
 
@@ -204,20 +177,13 @@ func (l *wordsLaw) eval(words int64) Eval {
 // each machine once per batch (query.Batch does) and pass the same
 // pointer for every cell.
 type Session struct {
-	mu    sync.Mutex
-	plans map[planKey]*planEntry
-	laws  map[sessLawKey]*sessLawEntry
-	memo  map[sessMemoKey]*sessMemoEntry
+	plans once.Map[planKey, planned]
+	laws  once.Map[sessLawKey, *law.Law[probe]] // nil: family not law-eligible
+	memo  once.Map[sessMemoKey, evaluated]
 }
 
 // NewSession returns an empty batch context.
-func NewSession() *Session {
-	return &Session{
-		plans: map[planKey]*planEntry{},
-		laws:  map[sessLawKey]*sessLawEntry{},
-		memo:  map[sessMemoKey]*sessMemoEntry{},
-	}
-}
+func NewSession() *Session { return &Session{} }
 
 type planKey struct {
 	op     Op
@@ -240,23 +206,12 @@ type sessMemoKey struct {
 	words  int
 }
 
-// planEntry, sessLawEntry and sessMemoEntry are once-guarded so
-// concurrent cells needing the same plan, fit or evaluation compute
-// it exactly once, without holding the session lock across a
-// simulation.
-type planEntry struct {
-	once sync.Once
+type planned struct {
 	plan *Plan
 	err  error
 }
 
-type sessLawEntry struct {
-	once sync.Once
-	law  *wordsLaw // nil: family not law-eligible, use the evaluator
-}
-
-type sessMemoEntry struct {
-	once     sync.Once
+type evaluated struct {
 	ev       Eval
 	analytic bool
 	err      error
@@ -269,69 +224,38 @@ type sessMemoEntry struct {
 // contract the Eval is bit-identical either way.
 func (s *Session) Evaluate(m *machine.Machine, op Op, st Strategy, nodes, offset, words int, engine bool) (Eval, bool, error) {
 	pk := planKey{op: op, st: st, nodes: nodes, offset: offset}
-	k := sessMemoKey{pk: pk, m: m, engine: engine, words: words}
-	s.mu.Lock()
-	e, ok := s.memo[k]
-	if !ok {
-		e = &sessMemoEntry{}
-		s.memo[k] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.ev, e.analytic, e.err = s.compute(pk, m, engine, words) })
+	e := s.memo.Get(sessMemoKey{pk: pk, m: m, engine: engine, words: words}, func() evaluated {
+		ev, analytic, err := s.compute(pk, m, engine, words)
+		return evaluated{ev, analytic, err}
+	})
 	return e.ev, e.analytic, e.err
 }
 
 // compute answers one evaluation: by law when the family admits one
 // that covers this word count, by the evaluator otherwise.
 func (s *Session) compute(pk planKey, m *machine.Machine, engine bool, words int) (Eval, bool, error) {
-	plan, err := s.plan(pk)
-	if err != nil {
-		return Eval{}, false, err
+	// Plans are memoized with their errors, which keep the exact
+	// collective.New text every frontend reports.
+	pl := s.plans.Get(pk, func() planned {
+		plan, err := New(pk.op, pk.st, pk.nodes, pk.offset)
+		return planned{plan, err}
+	})
+	if pl.err != nil {
+		return Eval{}, false, pl.err
 	}
-	if words > 0 && int64(words) <= lawWordsMaxWords {
-		if period := wordsPeriod(m, plan.Schedule); period > 0 {
-			residue := int64(words) % period
-			if int64(words) >= lawWordsC1*period+residue {
-				// Only coverable word counts trigger a fit: small
-				// blocks below the first probe are cheaper to just
-				// evaluate. Coverage is a pure function of the cell,
-				// so the analytic provenance flag is deterministic.
-				if law := s.law(pk, plan, m, engine, period, residue); law != nil && law.covers(int64(words)) {
-					return law.eval(int64(words)), true, nil
-				}
-			}
+	// Only coverable word counts trigger a fit: small blocks below the
+	// first probe are cheaper to just evaluate. Coverage is a pure
+	// function of the cell, so the analytic provenance flag is
+	// deterministic.
+	if period := wordsPeriod(m, pl.plan.Schedule); period > 0 && wordsLaws.Reaches(period, int64(words)) {
+		residue := int64(words) % period
+		l := s.laws.Get(sessLawKey{pk: pk, m: m, engine: engine, residue: residue}, func() *law.Law[probe] {
+			return fitWordsLaw(pl.plan, m, engine, period, residue)
+		})
+		if l != nil && l.Covers(int64(words)) {
+			return evalAt(l, int64(words)), true, nil
 		}
 	}
-	ev, err := plan.Evaluate(m, words, engine)
+	ev, err := pl.plan.Evaluate(m, words, engine)
 	return ev, false, err
-}
-
-// plan returns the memoized plan for the key, planning it on first
-// need. Planning errors are memoized too: they keep the exact
-// collective.New text every frontend reports.
-func (s *Session) plan(pk planKey) (*Plan, error) {
-	s.mu.Lock()
-	e, ok := s.plans[pk]
-	if !ok {
-		e = &planEntry{}
-		s.plans[pk] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.plan, e.err = New(pk.op, pk.st, pk.nodes, pk.offset) })
-	return e.plan, e.err
-}
-
-// law returns the fitted words law for the family and residue class,
-// fitting it on first need. nil means the family did not certify.
-func (s *Session) law(pk planKey, plan *Plan, m *machine.Machine, engine bool, period, residue int64) *wordsLaw {
-	k := sessLawKey{pk: pk, m: m, engine: engine, residue: residue}
-	s.mu.Lock()
-	e, ok := s.laws[k]
-	if !ok {
-		e = &sessLawEntry{}
-		s.laws[k] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.law = fitWordsLaw(plan, m, engine, period, residue) })
-	return e.law
 }

@@ -277,11 +277,11 @@ func (a *assembler) bestSend() (float64, Stage, error) {
 	return r, Stage{Resource: "cpu", Name: "1S0", Rate: r}, nil
 }
 
-// bestRecv returns the fastest receive path for pattern w. The chained
-// style may use the co-processor as a software deposit engine
-// (allowCoproc); buffer packing receives contiguous blocks with the
-// hardware engine when one exists.
-func (a *assembler) bestRecv(w pattern.Spec, allowCoproc bool) (float64, Stage, error) {
+// bestRecv returns the fastest receive path for pattern w: the hardware
+// deposit engine when it supports w, receive-store otherwise. The caller
+// decides whether a plain-processor receive is acceptable by inspecting
+// the returned stage's resource.
+func (a *assembler) bestRecv(w pattern.Spec) (float64, Stage, error) {
 	if a.m.Deposit.Supports(w) {
 		res, err := a.transfer(xfer.KindRecvDeposit, pattern.Spec{}, w)
 		if err != nil {
@@ -289,9 +289,6 @@ func (a *assembler) bestRecv(w pattern.Spec, allowCoproc bool) (float64, Stage, 
 		}
 		return res.MBps(), Stage{Resource: "rengine", Name: "0D" + w.String(), Rate: res.MBps()}, nil
 	}
-	_ = allowCoproc // receive-store is the fallback either way; the
-	// caller decides whether a plain-processor receive is acceptable by
-	// inspecting the returned stage's resource.
 	res, err := a.transfer(xfer.KindRecvStore, pattern.Spec{}, w)
 	if err != nil {
 		return 0, Stage{}, err
@@ -320,7 +317,7 @@ func (a *assembler) assemble(style Style, x, y pattern.Spec) (float64, []Stage, 
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		recvRate, recvStage, err := a.bestRecv(pattern.Contig(), true)
+		recvRate, recvStage, err := a.bestRecv(pattern.Contig())
 		if err != nil {
 			return 0, nil, 0, err
 		}
@@ -354,7 +351,7 @@ func (a *assembler) assemble(style Style, x, y pattern.Spec) (float64, []Stage, 
 			recvMachine = &clone
 		}
 		ra := &assembler{m: recvMachine, opt: a.opt, src: a.src, stats: a.stats}
-		recvRate, recvStage, err := ra.bestRecv(y, true)
+		recvRate, recvStage, err := ra.bestRecv(y)
 		if err != nil {
 			return 0, nil, 0, err
 		}
@@ -383,7 +380,7 @@ func (a *assembler) assemble(style Style, x, y pattern.Spec) (float64, []Stage, 
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		recvRate, recvStage, err := a.bestRecv(pattern.Contig(), false)
+		recvRate, recvStage, err := a.bestRecv(pattern.Contig())
 		if err != nil {
 			return 0, nil, 0, err
 		}

@@ -1,9 +1,8 @@
 package comm
 
 import (
-	"sync"
-
 	"ctcomm/internal/machine"
+	"ctcomm/internal/once"
 	"ctcomm/internal/pattern"
 	"ctcomm/internal/xfer"
 )
@@ -23,14 +22,11 @@ import (
 // machine once per batch (query.Batch does) and pass the same pointer
 // for every cell.
 type Session struct {
-	mu    sync.Mutex
-	machs map[*machine.Machine]*machSession
+	machs once.Map[*machine.Machine, *machSession]
 }
 
 // NewSession returns an empty batch context.
-func NewSession() *Session {
-	return &Session{machs: map[*machine.Machine]*machSession{}}
-}
+func NewSession() *Session { return &Session{} }
 
 // Run is RunWith over the session's memoizing, law-fitting source for m.
 func (s *Session) Run(m *machine.Machine, style Style, x, y pattern.Spec, opt Options) (Result, error) {
@@ -39,18 +35,7 @@ func (s *Session) Run(m *machine.Machine, style Style, x, y pattern.Spec, opt Op
 
 // SourceFor returns the session's Source bound to machine m.
 func (s *Session) SourceFor(m *machine.Machine) Source {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ms, ok := s.machs[m]
-	if !ok {
-		ms = &machSession{
-			m:    m,
-			laws: map[lawKey]*lawEntry{},
-			memo: map[memoKey]*memoEntry{},
-		}
-		s.machs[m] = ms
-	}
-	return ms
+	return s.machs.Get(m, func() *machSession { return &machSession{m: m} })
 }
 
 type lawKey struct {
@@ -65,16 +50,7 @@ type memoKey struct {
 	words int
 }
 
-// lawEntry and memoEntry are once-guarded so concurrent cells needing
-// the same fit or the same transfer compute it exactly once, without
-// holding the session lock across a simulation.
-type lawEntry struct {
-	once sync.Once
-	law  *xfer.Law // nil: shape not law-eligible, use the engine
-}
-
-type memoEntry struct {
-	once     sync.Once
+type transferred struct {
 	res      xfer.Result
 	analytic bool
 	err      error
@@ -82,31 +58,26 @@ type memoEntry struct {
 
 // machSession implements Source for one machine.
 type machSession struct {
-	m  *machine.Machine
-	mu sync.Mutex
-
-	laws map[lawKey]*lawEntry
-	memo map[memoKey]*memoEntry
+	m    *machine.Machine
+	laws once.Map[lawKey, *xfer.Law] // nil: shape not law-eligible, use the engine
+	memo once.Map[memoKey, transferred]
 }
 
 func (ms *machSession) Transfer(kind xfer.Kind, x, y pattern.Spec, words int) (xfer.Result, bool, error) {
-	k := memoKey{kind: kind, x: x, y: y, words: words}
-	ms.mu.Lock()
-	e, ok := ms.memo[k]
-	if !ok {
-		e = &memoEntry{}
-		ms.memo[k] = e
-	}
-	ms.mu.Unlock()
-	e.once.Do(func() { e.res, e.analytic, e.err = ms.compute(kind, x, y, words) })
-	return e.res, e.analytic, e.err
+	t := ms.memo.Get(memoKey{kind: kind, x: x, y: y, words: words}, func() transferred {
+		res, analytic, err := ms.compute(kind, x, y, words)
+		return transferred{res, analytic, err}
+	})
+	return t.res, t.analytic, t.err
 }
 
 // compute answers one transfer: by law when the shape admits one that
 // covers this word count, by the engine otherwise.
 func (ms *machSession) compute(kind xfer.Kind, x, y pattern.Spec, words int) (xfer.Result, bool, error) {
 	if p := xfer.PeriodOf(ms.m, kind, x, y); p > 0 {
-		if law := ms.law(kind, x, y, words%p); law != nil && law.Covers(words) {
+		k := lawKey{kind: kind, x: x, y: y, residue: words % p}
+		law := ms.laws.Get(k, func() *xfer.Law { return xfer.FitLaw(ms.m, kind, x, y, k.residue) })
+		if law != nil && law.Covers(words) {
 			res, err := law.Eval(words)
 			if err == nil {
 				return res, true, nil
@@ -117,19 +88,4 @@ func (ms *machSession) compute(kind xfer.Kind, x, y pattern.Spec, words int) (xf
 	}
 	res, err := runEngine(ms.m, kind, x, y, words)
 	return res, false, err
-}
-
-// law returns the fitted law for the shape and residue class, fitting
-// it on first need. nil means the shape did not certify.
-func (ms *machSession) law(kind xfer.Kind, x, y pattern.Spec, residue int) *xfer.Law {
-	k := lawKey{kind: kind, x: x, y: y, residue: residue}
-	ms.mu.Lock()
-	e, ok := ms.laws[k]
-	if !ok {
-		e = &lawEntry{}
-		ms.laws[k] = e
-	}
-	ms.mu.Unlock()
-	e.once.Do(func() { e.law = xfer.FitLaw(ms.m, kind, x, y, residue) })
-	return e.law
 }

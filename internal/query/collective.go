@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"ctcomm/internal/collective"
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 	"ctcomm/internal/netsim"
 )
@@ -189,6 +190,9 @@ func collectiveQ(r CollectiveRequest, b *Batch) (CollectiveResponse, bool, error
 	}
 	if r.Words < 0 {
 		return CollectiveResponse{}, false, badf("words must be positive, got %d", r.Words)
+	}
+	if r.Words > law.MaxWords {
+		return CollectiveResponse{}, false, badf("words must be at most %d, got %d", law.MaxWords, r.Words)
 	}
 
 	strategies := collective.Strategies()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"ctcomm/internal/law"
 )
 
 // TestCollectiveBadRequests is the error-path contract: malformed
@@ -26,6 +28,7 @@ func TestCollectiveBadRequests(t *testing.T) {
 		{"too many nodes", CollectiveRequest{Collective: "all-to-all", Nodes: 65}, "2..64"},
 		{"nodes beyond level domain", CollectiveRequest{Machine: "cluster", Collective: "reduce", Level: "intra-socket", Nodes: 8}, "2..4"},
 		{"negative words", CollectiveRequest{Collective: "all-to-all", Words: -8}, "words"},
+		{"words past law bound", CollectiveRequest{Collective: "broadcast", Strategy: "pairwise", Nodes: 2, Words: law.MaxWords + 1}, "at most"},
 		{"zero offset shift", CollectiveRequest{Collective: "shift", Offset: 64}, "offset"},
 		{"doubling non-pow2", CollectiveRequest{Collective: "broadcast", Strategy: "doubling", Nodes: 12}, "power-of-two"},
 		{"hyper-systolic prime", CollectiveRequest{Collective: "all-to-all", Strategy: "hyper-systolic", Nodes: 13}, "prime"},

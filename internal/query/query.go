@@ -21,6 +21,7 @@ import (
 	"ctcomm/internal/calibrate"
 	"ctcomm/internal/comm"
 	"ctcomm/internal/distrib"
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 	"ctcomm/internal/model"
 	"ctcomm/internal/netsim"
@@ -625,6 +626,9 @@ func price(r PriceRequest, b *Batch) (PriceResponse, bool, error) {
 	r = r.Canon()
 	if r.Words <= 0 {
 		return PriceResponse{}, false, badf("words must be positive, got %d", r.Words)
+	}
+	if r.Words > law.MaxWords {
+		return PriceResponse{}, false, badf("words must be at most %d, got %d", law.MaxWords, r.Words)
 	}
 	var m *machine.Machine
 	var err error

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ctcomm/internal/comm"
+	"ctcomm/internal/law"
 )
 
 func TestEvalExpr(t *testing.T) {
@@ -180,6 +181,7 @@ func TestPriceStyles(t *testing.T) {
 func TestPriceBadRequests(t *testing.T) {
 	cases := []PriceRequest{
 		{X: "1", Y: "1", Words: -3},
+		{X: "1", Y: "1", Style: "direct", Words: law.MaxWords + 1},
 		{X: "q", Y: "1"},
 		{X: "1", Y: ""},
 		{Style: "mpi", X: "1", Y: "1"},
@@ -189,6 +191,24 @@ func TestPriceBadRequests(t *testing.T) {
 		if _, err := Price(req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("Price(%+v) err = %v, want ErrBadRequest", req, err)
 		}
+		if _, _, err := NewBatch().Price(req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Batch.Price(%+v) err = %v, want ErrBadRequest", req, err)
+		}
+	}
+}
+
+// The batch path answers law-covered word counts by extrapolation, so
+// an unbounded count would overflow silently instead of running long:
+// 1<<60 words must be rejected, and law.MaxWords itself still priced.
+func TestBatchPriceWordsBound(t *testing.T) {
+	req := PriceRequest{X: "1", Y: "1", Style: "direct", Words: 1 << 60}
+	if resp, _, err := NewBatch().Price(req); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("Batch.Price(%d words) = %+v, %v; want ErrBadRequest", req.Words, resp, err)
+	}
+	req.Words = law.MaxWords
+	resp, analytic, err := NewBatch().Price(req)
+	if err != nil || !analytic || resp.ElapsedUs <= 0 || resp.PayloadBytes != law.MaxWords*8 {
+		t.Errorf("Batch.Price(%d words) = %+v (analytic %t), %v; want a positive law answer", req.Words, resp, analytic, err)
 	}
 }
 

@@ -23,11 +23,11 @@ type errorBody struct {
 }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("/v1/eval", s.instrument("eval", s.handleEval))
-	s.mux.HandleFunc("/v1/price", s.instrument("price", s.handlePrice))
-	s.mux.HandleFunc("/v1/plan", s.instrument("plan", s.handlePlan))
-	s.mux.HandleFunc("/v1/fit", s.instrument("fit", s.handleFit))
-	s.mux.HandleFunc("/v1/collective", s.instrument("collective", s.handleCollective))
+	s.mux.HandleFunc("/v1/eval", s.instrument("eval", point(s, query.Eval)))
+	s.mux.HandleFunc("/v1/price", s.instrument("price", point(s, query.Price)))
+	s.mux.HandleFunc("/v1/plan", s.instrument("plan", point(s, query.Plan)))
+	s.mux.HandleFunc("/v1/fit", s.instrument("fit", point(s, query.Fit)))
+	s.mux.HandleFunc("/v1/collective", s.instrument("collective", point(s, query.Collective)))
 	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", s.handleSweep))
 	s.mux.HandleFunc("/v1/cells", s.instrument("cells", s.handleCells))
 	s.mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
@@ -116,109 +116,29 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
+// point answers one point endpoint: it strictly decodes a POSTed Req
+// and answers it through s.do, so repeated queries are cache hits keyed
+// by the request's fingerprint. Every point response Text is
+// byte-identical to the matching ctmodel stdout.
+func point[Req interface{ Fingerprint() string }, Resp any](s *Server, answer func(Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !requirePost(w, r) {
+			return
+		}
+		var req Req
+		if err := decodeBody(w, r, &req); err != nil {
+			s.writeError(w, err)
+			return
+		}
+		val, _, err := s.do(r.Context(), req.Fingerprint(), func() (interface{}, error) {
+			return answer(req)
+		})
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, val)
 	}
-	var req query.EvalRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	val, _, err := s.do(r.Context(), req.Fingerprint(), func() (interface{}, error) {
-		return query.Eval(req)
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, val)
-}
-
-func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	var req query.PriceRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	val, _, err := s.do(r.Context(), req.Fingerprint(), func() (interface{}, error) {
-		return query.Price(req)
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, val)
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	var req query.PlanRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	val, _, err := s.do(r.Context(), req.Fingerprint(), func() (interface{}, error) {
-		return query.Plan(req)
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, val)
-}
-
-// handleFit answers POST /v1/fit: least-squares calibration fitting of
-// measured rows onto a built-in base profile. Like every point
-// endpoint it runs through s.do, so repeated fits of the same rows
-// (keyed by the rows' digest in the fingerprint) are cache hits, and
-// the response Text is byte-identical to ctmodel -fit stdout.
-func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	var req query.FitRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	val, _, err := s.do(r.Context(), req.Fingerprint(), func() (interface{}, error) {
-		return query.Fit(req)
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, val)
-}
-
-// handleCollective answers POST /v1/collective: plan a collective
-// operation as phase schedules and evaluate one or all planner
-// strategies on a machine. Like every point endpoint it runs through
-// s.do, so repeated comparisons are cache hits, and the response Text
-// is byte-identical to ctmodel -collective stdout.
-func (s *Server) handleCollective(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	var req query.CollectiveRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	val, _, err := s.do(r.Context(), req.Fingerprint(), func() (interface{}, error) {
-		return query.Collective(req)
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, val)
 }
 
 // sweepSummary is the terminal NDJSON line of a /v1/sweep stream: the

@@ -115,6 +115,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/eval", `not json`, http.StatusBadRequest},
 		{"/v1/plan", `{"n":-4,"p":8}`, http.StatusBadRequest},
 		{"/v1/price", `{"x":"1","y":"1","style":"mpi"}`, http.StatusBadRequest},
+		{"/v1/price", `{"x":"1","y":"1","style":"direct","words":2147483649}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if w := post(s, c.path, c.body); w.Code != c.want {

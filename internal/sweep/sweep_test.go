@@ -206,6 +206,32 @@ func TestRunPartialFailure(t *testing.T) {
 	}
 }
 
+// A word count past law.MaxWords is one error row, never an overflowed
+// law answer.
+func TestRunWordsBoundErrorRow(t *testing.T) {
+	cells, err := Expand(Spec{Kind: "price", Ops: []string{"1Q1"}, Styles: []string{"direct"}, Words: []int{4096, 1 << 60}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []Row
+	st, err := Run(context.Background(), cells, Options{}, func(r Row) error {
+		rows = append(rows, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cells != 2 || st.Failed != 1 || len(rows) != 2 {
+		t.Fatalf("stats = %+v, want 2 cells with 1 failed", st)
+	}
+	if rows[0].Err != "" || rows[0].Price == nil {
+		t.Errorf("good row = %+v", rows[0])
+	}
+	if !strings.Contains(rows[1].Err, "words must be at most") || rows[1].Price != nil {
+		t.Errorf("row for 1<<60 words = %+v, want a words-bound error row", rows[1])
+	}
+}
+
 // DirectRunner memoizes duplicate cells within a sweep.
 func TestDirectRunnerMemo(t *testing.T) {
 	// Ops axis repeats the same operation: 3 duplicate cells.

@@ -3,6 +3,7 @@ package xfer
 import (
 	"fmt"
 
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 	"ctcomm/internal/memsim"
 	"ctcomm/internal/pattern"
@@ -18,28 +19,27 @@ import (
 //
 //	Mem(c·P + r) = A + c·D
 //
-// with integer-valued A and D. A Law captures A and D from two probe
-// runs one period apart, verifies the fit bitwise on two further
-// probes, and then produces the memsim.Result for ANY eligible word
-// count by integer extrapolation (memsim.PredictLinear). Replaying
-// that Result through the transfer's own post-math (the *On functions)
-// yields an xfer.Result bit-identical to running the engine, because
-// the post-math consumes only fields derived from the extrapolated
-// integer fs values.
+// with integer-valued A and D. A Law is that affine law fitted and
+// verified under internal/law's admission contract; it produces the
+// memsim.Result for any covered word count by integer extrapolation
+// (memsim.PredictLinear). Replaying that Result through the transfer's
+// own post-math (the *On functions) yields an xfer.Result bit-identical
+// to running the engine, because the post-math consumes only fields
+// derived from the extrapolated integer fs values.
 //
 // Applicability is decided by the memory system itself: processor-path
 // kinds use Memory.StreamPeriod (the fast-forward shape rule),
 // engine-path kinds use Memory.EnginePeriod (DRAM page phase only).
-// Every fit is then verified bitwise at two further probes. When the
-// fit probes carry the FastForwarded certificate — the fast-forward
-// layer proved three consecutive recurring period boundaries — that
-// suffices; when they do not (the engine path has no fast-forward, and
-// some configurations never satisfy its strict snapshot recurrence even
-// though their per-period cost is constant), a third verification probe
-// far beyond the fit region must also match. Anything else — indexed
-// patterns (their permutation depends on the word count), overlapping
-// strides, non-steady-state configurations, too-long periods — yields
-// no Law and the caller falls back to engine evaluation.
+// When the fit probes carry the FastForwarded certificate — the
+// fast-forward layer proved three consecutive recurring period
+// boundaries — the two near verification probes suffice; when they do
+// not (the engine path has no fast-forward, and some configurations
+// never satisfy its strict snapshot recurrence even though their
+// per-period cost is constant), the far probe must also match.
+// Anything else — indexed patterns (their permutation depends on the
+// word count), overlapping strides, non-steady-state configurations,
+// too-long periods — yields no Law and the caller falls back to engine
+// evaluation.
 
 // Kind identifies one basic-transfer flavor (the switch between the
 // memory-system halves in memPart).
@@ -72,11 +72,10 @@ func (k Kind) String() string {
 }
 
 const (
-	// lawC1 and lawC2 are the period counts of the two fit probes; one
-	// period apart, past the longest warm-up the fast-forward layer
-	// itself tolerates (ffMaxProbe = 12 boundaries).
+	// lawC1 is the period count of the first fit probe (the second sits
+	// one period later), past the longest warm-up the fast-forward
+	// layer itself tolerates (ffMaxProbe = 12 boundaries).
 	lawC1 = 16
-	lawC2 = 17
 	// lawC3 and lawC4 are the bitwise verification probes. Coprime
 	// offsets from the fit points so an accidental two-point fit of a
 	// non-affine curve cannot survive both.
@@ -91,6 +90,21 @@ const (
 	// cost of the big runs the law replaces.
 	lawMaxPeriod = 4096
 )
+
+// memLaws is the law family of memory-system halves: results are
+// memsim.Results, extrapolated in integer femtoseconds and compared
+// bitwise; the far probe is waived when both fit probes carry the
+// fast-forward certificate.
+var memLaws = law.Family[memsim.Result]{
+	C1:     lawC1,
+	Verify: []int64{lawC3, lawC4},
+	Far:    lawC5,
+	Pair: func(r1, r2 memsim.Result) (ok, far bool) {
+		return true, !(r1.FastForwarded && r2.FastForwarded)
+	},
+	Predict: memsim.PredictLinear,
+	Equal:   func(pred, probe memsim.Result) bool { return pred == probe },
+}
 
 // constRunner replays one precomputed memory-half result through the
 // post-math of a transfer. It ignores its stream arguments by design:
@@ -167,12 +181,10 @@ func PeriodOf(m *machine.Machine, kind Kind, x, y pattern.Spec) int {
 // transfer shape on one machine, valid for word counts congruent to its
 // residue modulo its period.
 type Law struct {
-	m       *machine.Machine
-	kind    Kind
-	x, y    pattern.Spec
-	period  int
-	residue int
-	r1, r2  memsim.Result // fit probes at lawC1 and lawC2 periods + residue
+	m    *machine.Machine
+	kind Kind
+	x, y pattern.Spec
+	fit  *law.Law[memsim.Result]
 }
 
 // FitLaw probes, fits and verifies the law for word counts congruent to
@@ -183,42 +195,24 @@ type Law struct {
 // for engine runs bit for bit.
 func FitLaw(m *machine.Machine, kind Kind, x, y pattern.Spec, residue int) *Law {
 	p := PeriodOf(m, kind, x, y)
-	if p == 0 || residue < 0 || residue >= p {
+	if p == 0 {
 		return nil
 	}
-	run := func(c int) memsim.Result {
-		return memPart(memsim.MustNew(m.Mem), kind, x, y, c*p+residue)
+	fit := memLaws.Fit(int64(p), int64(residue), func(words int64) (memsim.Result, bool) {
+		return memPart(memsim.MustNew(m.Mem), kind, x, y, int(words)), true
+	})
+	if fit == nil {
+		return nil
 	}
-	l := &Law{m: m, kind: kind, x: x, y: y, period: p, residue: residue}
-	l.r1, l.r2 = run(lawC1), run(lawC2)
-	verify := []int{lawC3, lawC4}
-	if !(l.r1.FastForwarded && l.r2.FastForwarded) {
-		// No fast-forward certificate on the fit probes (engine path, or
-		// a configuration whose snapshot recurrence never settles even
-		// though its per-period cost is constant): demand a far probe too.
-		verify = append(verify, lawC5)
-	}
-	for _, c := range verify {
-		if l.predict(c*p+residue) != run(c) {
-			return nil
-		}
-	}
-	return l
+	return &Law{m: m, kind: kind, x: x, y: y, fit: fit}
 }
-
-// predict extrapolates the fitted law to words, which must be covered.
-func (l *Law) predict(words int) memsim.Result {
-	return memsim.PredictLinear(l.r1, l.r2, int64(words/l.period-lawC1))
-}
-
-// Period returns the law's structural period in payload words.
-func (l *Law) Period() int { return l.period }
 
 // Covers reports whether the law may answer for words: same residue
-// class, at or past the first fit probe, and (for two-stream copies)
-// a read footprint that still clears the write region.
+// class, at or past the first fit probe, at most law.MaxWords, and (for
+// two-stream copies) a read footprint that still clears the write
+// region.
 func (l *Law) Covers(words int) bool {
-	if words%l.period != l.residue || words < lawC1*l.period+l.residue {
+	if !l.fit.Covers(int64(words)) {
 		return false
 	}
 	if l.kind == KindCopy {
@@ -238,7 +232,7 @@ func (l *Law) Eval(words int) (Result, error) {
 	if !l.Covers(words) {
 		return Result{}, fmt.Errorf("xfer: law %s %v/%v does not cover %d words", l.kind, l.x, l.y, words)
 	}
-	cr := constRunner{l.predict(words)}
+	cr := constRunner{l.fit.At(int64(words))}
 	switch l.kind {
 	case KindCopy:
 		return CopyOn(l.m, cr, l.x, l.y, words)

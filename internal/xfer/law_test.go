@@ -92,7 +92,7 @@ func TestLawBitIdentical(t *testing.T) {
 					// certify); the fallback path covers it.
 					continue
 				}
-				for _, c := range []int{lawC1, lawC2, lawC3 + 1, 64, 257} {
+				for _, c := range []int{lawC1, lawC1 + 1, lawC3 + 1, 64, 257} {
 					words := c*p + residue
 					if !law.Covers(words) {
 						t.Errorf("%s %v %v/%v residue=%d: law must cover %d words", m.Name, tc.kind, tc.x, tc.y, residue, words)
