@@ -26,7 +26,7 @@ bench:
 # steady-state RunStream benchmarks report 0 allocs/op (also asserted
 # by TestRunStreamAllocFree).
 bench-hotpath:
-	$(GO) test -bench 'BenchmarkRunStream|BenchmarkLoadStream|BenchmarkStoreStream|BenchmarkEngineWrite' -benchmem ./internal/memsim/
+	$(GO) test -bench 'BenchmarkRunStream|BenchmarkEngineWrite' -benchmem ./internal/memsim/
 
 # Serve-stack benchmarks: steady-state (cache-hot) mixed workload and
 # the cold (parse + evaluate) path, through the full HTTP handler stack.

@@ -128,7 +128,7 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 
 	if *collFlag != "" {
-		return runCollective(query.CollectiveRequest{
+		resp, err := query.Collective(query.CollectiveRequest{
 			Machine:    *machineFlag,
 			Collective: *collFlag,
 			Strategy:   *strategyFlag,
@@ -137,7 +137,8 @@ func run(args []string, out io.Writer) (int, error) {
 			Offset:     *offsetFlag,
 			Level:      *levelFlag,
 			M:          loaded,
-		}, out)
+		})
+		return emit(resp.Text, err, out)
 	}
 
 	req := query.EvalRequest{
@@ -156,13 +157,20 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 
 	resp, err := query.Eval(req)
+	return emit(resp.Text, err, out)
+}
+
+// emit is the shared tail of every query: it maps err to the exit code
+// (2 for query.ErrBadRequest, 1 otherwise), or writes text — a point
+// answer's Text, byte-identical to the served answer's.
+func emit(text string, err error, out io.Writer) (int, error) {
 	if err != nil {
 		if errors.Is(err, query.ErrBadRequest) {
 			return 2, err
 		}
 		return 1, err
 	}
-	if _, err := io.WriteString(out, resp.Text); err != nil {
+	if _, err := io.WriteString(out, text); err != nil {
 		return 1, err
 	}
 	return 0, nil
@@ -189,37 +197,14 @@ func runFit(rowsPath, base, name, outPath string, loaded *machine.Machine, out i
 	}
 
 	resp, err := query.Fit(query.FitRequest{Base: base, Rows: rows, Name: name, M: loaded})
-	if err != nil {
-		if errors.Is(err, query.ErrBadRequest) {
-			return 2, err
-		}
-		return 1, err
-	}
-	if _, err := io.WriteString(out, resp.Text); err != nil {
-		return 1, err
+	if code, err := emit(resp.Text, err, out); code != 0 {
+		return code, err
 	}
 	if outPath != "" {
 		if err := os.WriteFile(outPath, resp.Profile, 0o644); err != nil {
 			return 1, err
 		}
 		fmt.Fprintf(out, "wrote %s\n", outPath)
-	}
-	return 0, nil
-}
-
-// runCollective executes a -collective invocation through
-// internal/query, so stdout is byte-identical to a served
-// /v1/collective answer's Text.
-func runCollective(req query.CollectiveRequest, out io.Writer) (int, error) {
-	resp, err := query.Collective(req)
-	if err != nil {
-		if errors.Is(err, query.ErrBadRequest) {
-			return 2, err
-		}
-		return 1, err
-	}
-	if _, err := io.WriteString(out, resp.Text); err != nil {
-		return 1, err
 	}
 	return 0, nil
 }
@@ -258,10 +243,7 @@ func runSweep(specPath, format string, workers int, engine bool, out io.Writer) 
 			return nil
 		})
 	if err != nil {
-		if errors.Is(err, query.ErrBadRequest) {
-			return 2, err
-		}
-		return 1, err
+		return emit("", err, out)
 	}
 
 	t := sweep.Table(spec, rows, stats)

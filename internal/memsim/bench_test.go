@@ -6,35 +6,6 @@ import (
 	"ctcomm/internal/pattern"
 )
 
-func benchStream(b *testing.B, cfg Config, spec pattern.Spec, write bool) {
-	const words = 1 << 14
-	st := pattern.NewStream(spec, 0, words)
-	if spec.Kind() == pattern.KindIndexed {
-		st.WithIndex(pattern.Permutation(words, 1))
-	}
-	acc := st.Accesses(write)
-	b.SetBytes(words * 8)
-	b.ResetTimer()
-	var last Result
-	for i := 0; i < b.N; i++ {
-		m := MustNew(cfg)
-		last = m.Run(acc)
-	}
-	b.ReportMetric(last.MBps(), "simMB/s")
-}
-
-func BenchmarkLoadStream(b *testing.B) {
-	for _, spec := range []pattern.Spec{pattern.Contig(), pattern.Strided(64), pattern.Indexed()} {
-		b.Run(spec.String(), func(b *testing.B) { benchStream(b, testConfig(), spec, false) })
-	}
-}
-
-func BenchmarkStoreStream(b *testing.B) {
-	for _, spec := range []pattern.Spec{pattern.Contig(), pattern.Strided(64), pattern.Indexed()} {
-		b.Run(spec.String(), func(b *testing.B) { benchStream(b, testConfig(), spec, true) })
-	}
-}
-
 // benchRunStream measures the streaming hot path: a full copy-style
 // transfer (loads zipped with stores) per iteration. With fast-forward
 // enabled the steady state is extrapolated; either way the loop must not

@@ -64,8 +64,11 @@ func NewBatch() *Batch {
 
 // Machine is ResolveMachine memoized on the batch: each profile is
 // resolved at most once, and every accepted spelling of it returns the
-// same pointer.
+// same pointer. A nil batch (the point path) resolves directly.
 func (b *Batch) Machine(name string) (*machine.Machine, error) {
+	if b == nil {
+		return ResolveMachine(name)
+	}
 	key := strings.ToLower(strings.TrimSpace(name))
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -90,8 +93,12 @@ func (b *Batch) Machine(name string) (*machine.Machine, error) {
 // table is rateTable memoized on the batch. The calibrated branch uses
 // calibrate.SharedRateTable, so the conversion (and on a cache miss,
 // the measurement) happens once per configuration process-wide instead
-// of once per cell.
+// of once per cell. A nil batch (the point path) builds the table
+// afresh.
 func (b *Batch) table(rates string, m *machine.Machine, level *netsim.Level) (*model.RateTable, error) {
+	if b == nil {
+		return rateTable(rates, m, level)
+	}
 	k := tableKey{rates: rates, m: m}
 	if level != nil {
 		k.level = level.String()
@@ -118,30 +125,4 @@ func (b *Batch) table(rates string, m *machine.Machine, level *netsim.Level) (*m
 	b.tables[k] = rt
 	b.mu.Unlock()
 	return rt, nil
-}
-
-// Eval answers r through the batch's shared machine and rate-table
-// state. The bool is the analytic marker; eval queries are pure model
-// arithmetic (no per-cell engine simulation to elide), so it is always
-// false — only priced cells can be analytic.
-func (b *Batch) Eval(r EvalRequest) (EvalResponse, bool, error) {
-	resp, err := eval(r, b)
-	return resp, false, err
-}
-
-// Price answers r through the batch's comm session. The bool reports
-// whether every memory stage came from an analytic word-count law
-// rather than an engine simulation — provenance only: by the session's
-// bit-identity contract the response is identical either way.
-func (b *Batch) Price(r PriceRequest) (PriceResponse, bool, error) {
-	return price(r, b)
-}
-
-// Plan answers r through the batch's shared machine state. Plan
-// execution prices whole redistribution plans (congestion derived from
-// the plan's own traffic), which the analytic laws do not model; it
-// always runs the engine path, so the analytic marker is always false.
-func (b *Batch) Plan(r PlanRequest) (PlanResponse, bool, error) {
-	resp, err := plan(r, b)
-	return resp, false, err
 }

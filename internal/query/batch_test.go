@@ -24,7 +24,7 @@ func TestBatchBitIdentical(t *testing.T) {
 	}
 	for _, r := range evals {
 		ref, refErr := Eval(r)
-		got, analytic, gotErr := b.Eval(r)
+		got, analytic, gotErr := eval(r, b)
 		if analytic {
 			t.Errorf("eval %+v: eval cells must never be analytic", r)
 		}
@@ -44,7 +44,7 @@ func TestBatchBitIdentical(t *testing.T) {
 	}
 	for _, r := range prices {
 		ref, refErr := Price(r)
-		got, analytic, gotErr := b.Price(r)
+		got, analytic, gotErr := price(r, b)
 		sawAnalytic = sawAnalytic || analytic
 		checkSame(t, "price", r, ref, got, refErr, gotErr)
 	}
@@ -61,7 +61,7 @@ func TestBatchBitIdentical(t *testing.T) {
 	}
 	for _, r := range plans {
 		ref, refErr := Plan(r)
-		got, analytic, gotErr := b.Plan(r)
+		got, analytic, gotErr := plan(r, b)
 		if analytic {
 			t.Errorf("plan %+v: plan cells must never be analytic", r)
 		}
@@ -111,14 +111,14 @@ func TestBatchMachineSharing(t *testing.T) {
 // price is analytic, a below-coverage one is not.
 func TestBatchAnalyticFlag(t *testing.T) {
 	b := NewBatch()
-	_, analytic, err := b.Price(PriceRequest{X: "1", Y: "1"}) // default 1<<17 words
+	_, analytic, err := price(PriceRequest{X: "1", Y: "1"}, b) // default 1<<17 words
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !analytic {
 		t.Error("contiguous price at default words must be analytic")
 	}
-	_, analytic, err = b.Price(PriceRequest{X: "1", Y: "1", Words: 777})
+	_, analytic, err = price(PriceRequest{X: "1", Y: "1", Words: 777}, b)
 	if err != nil {
 		t.Fatal(err)
 	}

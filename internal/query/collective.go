@@ -130,17 +130,6 @@ func Collective(r CollectiveRequest) (CollectiveResponse, error) {
 	return resp, err
 }
 
-// Collective answers r through the batch's collective session: plans
-// and congestion factors resolve once per batch, and words axes are
-// answered by fitted affine makespan laws. The bool reports whether
-// every evaluated strategy was answered from such a law — provenance
-// only: laws are bitwise-verified against the evaluator at fit time
-// (collective.Session), so the response, rendered Text included, is
-// identical either way.
-func (b *Batch) Collective(r CollectiveRequest) (CollectiveResponse, bool, error) {
-	return collectiveQ(r, b)
-}
-
 // levelDomain maps a hierarchy level onto the number of leading
 // simulator nodes that tier spans: one socket's cores, one node's
 // cores, or the whole machine.
@@ -157,6 +146,13 @@ func levelDomain(lvl *netsim.Level, m *machine.Machine) int {
 	return m.Nodes()
 }
 
+// collectiveQ is the single Collective code path. A non-nil batch
+// answers through its collective session: plans and congestion factors
+// resolve once per batch, and words axes are answered by fitted affine
+// makespan laws. The bool reports whether every evaluated strategy was
+// answered from such a law — provenance only: laws are bitwise-verified
+// against the evaluator at fit time (collective.Session), so the
+// response, rendered Text included, is identical either way.
 func collectiveQ(r CollectiveRequest, b *Batch) (CollectiveResponse, bool, error) {
 	r = r.Canon()
 	op, err := collective.ParseOp(r.Collective)
@@ -165,14 +161,8 @@ func collectiveQ(r CollectiveRequest, b *Batch) (CollectiveResponse, bool, error
 	}
 	m := r.M
 	if m == nil {
-		var rerr error
-		if b != nil {
-			m, rerr = b.Machine(r.Machine)
-		} else {
-			m, rerr = ResolveMachine(r.Machine)
-		}
-		if rerr != nil {
-			return CollectiveResponse{}, false, rerr
+		if m, err = b.Machine(r.Machine); err != nil {
+			return CollectiveResponse{}, false, err
 		}
 	}
 	level, err := parseLevel(r.Level, m)
@@ -284,6 +274,16 @@ func collectiveQ(r CollectiveRequest, b *Batch) (CollectiveResponse, bool, error
 	}
 	resp.Text = renderCollective(&resp, comparing, worst)
 	return resp, analytic, nil
+}
+
+// collectiveSize sizes a collective answer for the result cache: its
+// rendered Text plus one fixed-size report per strategy.
+func collectiveSize(v CollectiveResponse) int64 {
+	n := int64(len(v.Text) + len(v.Machine) + len(v.Collective) + len(v.Level) + len(v.Winner))
+	for _, rep := range v.Strategies {
+		n += int64(96 + len(rep.Strategy) + len(rep.Err))
+	}
+	return n
 }
 
 func winnerMakespan(resp CollectiveResponse) float64 {

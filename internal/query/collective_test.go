@@ -114,7 +114,7 @@ func TestCollectiveBatchBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
-		batched, _, err := b.Collective(req)
+		batched, _, err := collectiveQ(req, b)
 		if err != nil {
 			t.Fatalf("batch %+v: %v", req, err)
 		}
@@ -149,7 +149,7 @@ func TestCollectiveBatchWordsLaw(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", c.req, err)
 		}
-		batched, analytic, err := b.Collective(c.req)
+		batched, analytic, err := collectiveQ(c.req, b)
 		if err != nil {
 			t.Fatalf("batch %+v: %v", c.req, err)
 		}
@@ -205,7 +205,7 @@ func FuzzCollectiveWordsLaw(f *testing.F) {
 		}.Canon()
 
 		ref, refErr := Collective(req)
-		got, _, gotErr := NewBatch().Collective(req)
+		got, _, gotErr := collectiveQ(req, NewBatch())
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("%+v: err mismatch: point %v, batch %v", req, refErr, gotErr)
 		}

@@ -62,29 +62,51 @@ type FitResponse struct {
 	Text    string               `json:"text"`
 }
 
+// UnmarshalJSON decodes a fit answer, restoring the newline that ends
+// Profile: JSON encoding compacts a raw message, so without it a decoded
+// answer (a warm-loaded cache entry) would differ from the one Fit
+// returned.
+func (r *FitResponse) UnmarshalJSON(data []byte) error {
+	type plain FitResponse
+	if err := json.Unmarshal(data, (*plain)(r)); err != nil {
+		return err
+	}
+	if n := len(r.Profile); n > 0 && r.Profile[n-1] != '\n' {
+		r.Profile = append(r.Profile, '\n')
+	}
+	return nil
+}
+
 // Fit answers a FitRequest.
 func Fit(r FitRequest) (FitResponse, error) {
+	resp, _, err := fit(r, nil)
+	return resp, err
+}
+
+// fit is the single Fit code path. Fit is a point-only kind (no sweep
+// axis), so a batch only shares base-profile resolution, and the
+// analytic marker is always false.
+func fit(r FitRequest, b *Batch) (FitResponse, bool, error) {
 	r = r.Canon()
 	if len(r.Rows) == 0 {
-		return FitResponse{}, badf("fit needs measurement rows")
+		return FitResponse{}, false, badf("fit needs measurement rows")
 	}
 	base := r.M
 	if base == nil {
 		var err error
-		base, err = ResolveMachine(r.Base)
-		if err != nil {
-			return FitResponse{}, err
+		if base, err = b.Machine(r.Base); err != nil {
+			return FitResponse{}, false, err
 		}
 	}
 	res, err := calibrate.Fit(base, r.Rows, r.Name)
 	if err != nil {
 		// Every fit failure is an input problem: bad rows, bad tags, or
 		// constants the base profile's structure cannot realize.
-		return FitResponse{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return FitResponse{}, false, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	profile, err := json.Marshal(res.Machine)
 	if err != nil {
-		return FitResponse{}, err
+		return FitResponse{}, false, err
 	}
 
 	var text strings.Builder
@@ -109,5 +131,15 @@ func Fit(r FitRequest) (FitResponse, error) {
 		Levels:  res.Levels,
 		Profile: append(profile, '\n'),
 		Text:    text.String(),
-	}, nil
+	}, false, nil
+}
+
+// fitSize sizes a fit answer for the result cache: its rendered Text
+// and Profile JSON dominate, then the per-level constants and points.
+func fitSize(v FitResponse) int64 {
+	n := int64(len(v.Text) + len(v.Profile) + len(v.Base) + len(v.Name))
+	for _, lf := range v.Levels {
+		n += int64(64 + len(lf.Level) + 32*len(lf.Points))
+	}
+	return n
 }

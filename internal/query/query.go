@@ -221,25 +221,23 @@ type EvalResponse struct {
 // Eval answers an EvalRequest. Exactly one of List, Expr or Op must be
 // set (checked in that order, matching ctmodel's flag precedence).
 func Eval(r EvalRequest) (EvalResponse, error) {
-	return eval(r, nil)
+	resp, _, err := eval(r, nil)
+	return resp, err
 }
 
 // eval is the single Eval code path; a nil batch resolves the machine
 // and rebuilds the rate table per call (classic point query), a
 // non-nil one shares both across the batch. Identical responses either
-// way.
-func eval(r EvalRequest, b *Batch) (EvalResponse, error) {
+// way. Eval queries are pure model arithmetic (no per-cell engine
+// simulation to elide), so the analytic marker is always false — only
+// priced cells can be analytic.
+func eval(r EvalRequest, b *Batch) (EvalResponse, bool, error) {
 	r = r.Canon()
 	m := r.M
 	if m == nil {
 		var err error
-		if b != nil {
-			m, err = b.Machine(r.Machine)
-		} else {
-			m, err = ResolveMachine(r.Machine)
-		}
-		if err != nil {
-			return EvalResponse{}, err
+		if m, err = b.Machine(r.Machine); err != nil {
+			return EvalResponse{}, false, err
 		}
 	}
 	cong := r.Congestion
@@ -248,16 +246,11 @@ func eval(r EvalRequest, b *Batch) (EvalResponse, error) {
 	}
 	level, err := parseLevel(r.Level, m)
 	if err != nil {
-		return EvalResponse{}, err
+		return EvalResponse{}, false, err
 	}
-	var rt *model.RateTable
-	if b != nil {
-		rt, err = b.table(r.Rates, m, level)
-	} else {
-		rt, err = rateTable(r.Rates, m, level)
-	}
+	rt, err := b.table(r.Rates, m, level)
 	if err != nil {
-		return EvalResponse{}, err
+		return EvalResponse{}, false, err
 	}
 
 	resp := EvalResponse{Machine: m.Name, Rates: r.Rates, Congestion: cong}
@@ -286,11 +279,11 @@ func eval(r EvalRequest, b *Batch) (EvalResponse, error) {
 	case r.Expr != "":
 		e, err := model.Parse(r.Expr)
 		if err != nil {
-			return EvalResponse{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return EvalResponse{}, false, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		rate, err := model.Evaluate(e, rt, cong)
 		if err != nil {
-			return EvalResponse{}, err
+			return EvalResponse{}, false, err
 		}
 		resp.Expr, resp.MBps = e.String(), rate
 		if level != nil {
@@ -304,13 +297,13 @@ func eval(r EvalRequest, b *Batch) (EvalResponse, error) {
 	case r.Op != "":
 		x, y, err := ParseOp(r.Op)
 		if err != nil {
-			return EvalResponse{}, err
+			return EvalResponse{}, false, err
 		}
 		caps := model.CapsOf(m)
 		packedE := model.BufferPacking(caps, x, y)
 		packed, err := model.Evaluate(packedE, rt, cong)
 		if err != nil {
-			return EvalResponse{}, err
+			return EvalResponse{}, false, err
 		}
 		resp.Packed = &OpEstimate{Expr: packedE.String(), MBps: packed}
 		fmt.Fprintf(&text, "buffer-packing: |%s| = %.1f MB/s\n", packedE, packed)
@@ -322,7 +315,7 @@ func eval(r EvalRequest, b *Batch) (EvalResponse, error) {
 		}
 		chained, err := model.Evaluate(chainedE, rt, cong)
 		if err != nil {
-			return EvalResponse{}, err
+			return EvalResponse{}, false, err
 		}
 		resp.Chained = &OpEstimate{Expr: chainedE.String(), MBps: chained}
 		fmt.Fprintf(&text, "chained:        |%s| = %.1f MB/s  (%.2fx)\n", chainedE, chained, chained/packed)
@@ -332,11 +325,27 @@ func eval(r EvalRequest, b *Batch) (EvalResponse, error) {
 		}
 
 	default:
-		return EvalResponse{}, badf("one of expr, op or list is required")
+		return EvalResponse{}, false, badf("one of expr, op or list is required")
 	}
 
 	resp.Text = text.String()
-	return resp, nil
+	return resp, false, nil
+}
+
+// evalSize sizes an eval answer for the result cache: the rendered
+// Text and expressions plus the structured estimates and rate table.
+func evalSize(v EvalResponse) int64 {
+	n := int64(len(v.Text) + len(v.Expr) + len(v.Machine) + len(v.ChainedErr) + len(v.Bottleneck))
+	if v.Packed != nil {
+		n += int64(32 + len(v.Packed.Expr))
+	}
+	if v.Chained != nil {
+		n += int64(32 + len(v.Chained.Expr))
+	}
+	for k := range v.Table {
+		n += int64(len(k) + 32)
+	}
+	return n
 }
 
 // --- Plan: the hpfplan query ------------------------------------------
@@ -427,34 +436,31 @@ func ParseDist(text string, n, p int) (distrib.Distribution, error) {
 
 // Plan answers a PlanRequest.
 func Plan(r PlanRequest) (PlanResponse, error) {
-	return plan(r, nil)
+	resp, _, err := plan(r, nil)
+	return resp, err
 }
 
 // plan is the single Plan code path; a non-nil batch shares machine
-// resolution. Plan execution itself always runs the engine (whole-plan
-// congestion is outside the analytic laws' scope).
-func plan(r PlanRequest, b *Batch) (PlanResponse, error) {
+// resolution. Plan execution prices whole redistribution plans
+// (congestion derived from the plan's own traffic), which the analytic
+// laws do not model: it always runs the engine, so the analytic marker
+// is always false.
+func plan(r PlanRequest, b *Batch) (PlanResponse, bool, error) {
 	r = r.Canon()
 	if r.Transpose < 0 {
-		return PlanResponse{}, badf("transpose must be positive, got %d", r.Transpose)
+		return PlanResponse{}, false, badf("transpose must be positive, got %d", r.Transpose)
 	}
 	if r.Transpose == 0 {
 		if r.N <= 0 {
-			return PlanResponse{}, badf("array size n must be positive, got %d", r.N)
+			return PlanResponse{}, false, badf("array size n must be positive, got %d", r.N)
 		}
 	}
 	if r.P <= 0 {
-		return PlanResponse{}, badf("processor count p must be positive, got %d", r.P)
+		return PlanResponse{}, false, badf("processor count p must be positive, got %d", r.P)
 	}
-	var m *machine.Machine
-	var err error
-	if b != nil {
-		m, err = b.Machine(r.Machine)
-	} else {
-		m, err = ResolveMachine(r.Machine)
-	}
+	m, err := b.Machine(r.Machine)
 	if err != nil {
-		return PlanResponse{}, err
+		return PlanResponse{}, false, err
 	}
 
 	var plan []distrib.Transfer
@@ -467,7 +473,7 @@ func plan(r PlanRequest, b *Batch) (PlanResponse, error) {
 		stridedLoads := m.CoProcessor // the Paragon profile marker
 		plan, err = distrib.TransposePlan(n, r.P, stridedLoads)
 		if err != nil {
-			return PlanResponse{}, err
+			return PlanResponse{}, false, err
 		}
 		orient := "1Qn (contiguous loads, strided stores)"
 		if stridedLoads {
@@ -477,15 +483,15 @@ func plan(r PlanRequest, b *Batch) (PlanResponse, error) {
 	} else {
 		src, err := ParseDist(r.Src, r.N, r.P)
 		if err != nil {
-			return PlanResponse{}, fmt.Errorf("src: %w", err)
+			return PlanResponse{}, false, fmt.Errorf("src: %w", err)
 		}
 		dst, err := ParseDist(r.Dst, r.N, r.P)
 		if err != nil {
-			return PlanResponse{}, fmt.Errorf("dst: %w", err)
+			return PlanResponse{}, false, fmt.Errorf("dst: %w", err)
 		}
 		plan, err = distrib.Plan(src, dst)
 		if err != nil {
-			return PlanResponse{}, err
+			return PlanResponse{}, false, err
 		}
 		what = fmt.Sprintf("redistribution %s -> %s of %d elements", src, dst, r.N)
 	}
@@ -497,7 +503,7 @@ func plan(r PlanRequest, b *Batch) (PlanResponse, error) {
 	if len(plan) == 0 {
 		fmt.Fprintln(&text, "no communication required: the layouts agree")
 		resp.Text = text.String()
-		return resp, nil
+		return resp, false, nil
 	}
 
 	// Summarize the plan.
@@ -514,7 +520,7 @@ func plan(r PlanRequest, b *Batch) (PlanResponse, error) {
 	// Price both styles.
 	packed, err := distrib.Execute(m, plan, distrib.ExecuteOptions{Style: comm.BufferPacking})
 	if err != nil {
-		return PlanResponse{}, err
+		return PlanResponse{}, false, err
 	}
 	chained, chainedErr := distrib.Execute(m, plan, distrib.ExecuteOptions{Style: comm.Chained})
 
@@ -527,7 +533,7 @@ func plan(r PlanRequest, b *Batch) (PlanResponse, error) {
 		fmt.Fprintf(&text, "chained:        not implementable: %v\n", chainedErr)
 		fmt.Fprintln(&text, "recommendation: buffer-packing (no capable deposit engine)")
 		resp.Text = text.String()
-		return resp, nil
+		return resp, false, nil
 	}
 	resp.Chained = &StyleReport{MBps: chained.MBps(), ElapsedUs: chained.ElapsedNs / 1e3}
 	fmt.Fprintf(&text, "chained:        %6.1f MB/s per node  (%.1f us)\n",
@@ -542,7 +548,17 @@ func plan(r PlanRequest, b *Batch) (PlanResponse, error) {
 			packed.MBps()/chained.MBps())
 	}
 	resp.Text = text.String()
-	return resp, nil
+	return resp, false, nil
+}
+
+// planSize sizes a plan answer for the result cache: the rendered Text
+// plus the pattern histogram and the two style reports.
+func planSize(v PlanResponse) int64 {
+	n := int64(len(v.Text) + len(v.Machine) + len(v.Operation) + len(v.ChainedErr) + len(v.Recommendation))
+	for k := range v.Patterns {
+		n += int64(len(k) + 32)
+	}
+	return n + 64
 }
 
 // --- Price: the simulated-operation query ------------------------------
@@ -630,13 +646,7 @@ func price(r PriceRequest, b *Batch) (PriceResponse, bool, error) {
 	if r.Words > law.MaxWords {
 		return PriceResponse{}, false, badf("words must be at most %d, got %d", law.MaxWords, r.Words)
 	}
-	var m *machine.Machine
-	var err error
-	if b != nil {
-		m, err = b.Machine(r.Machine)
-	} else {
-		m, err = ResolveMachine(r.Machine)
-	}
+	m, err := b.Machine(r.Machine)
 	if err != nil {
 		return PriceResponse{}, false, err
 	}
@@ -681,4 +691,14 @@ func price(r PriceRequest, b *Batch) (PriceResponse, bool, error) {
 	resp.Text = fmt.Sprintf("%s %s on %s: %.1f MB/s per node  (%.1f us, %d words, congestion %.0f)\n",
 		resp.Style, resp.Op, resp.Machine, resp.MBps, resp.ElapsedUs, resp.Words, resp.Congestion)
 	return resp, analytic, nil
+}
+
+// priceSize sizes a price answer for the result cache: the rendered
+// Text plus one fixed-size record per stage.
+func priceSize(v PriceResponse) int64 {
+	n := int64(len(v.Text) + len(v.Machine) + len(v.Style) + len(v.Op))
+	for _, st := range v.Stages {
+		n += int64(48 + len(st.Resource) + len(st.Name))
+	}
+	return n
 }

@@ -191,8 +191,8 @@ func TestPriceBadRequests(t *testing.T) {
 		if _, err := Price(req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("Price(%+v) err = %v, want ErrBadRequest", req, err)
 		}
-		if _, _, err := NewBatch().Price(req); !errors.Is(err, ErrBadRequest) {
-			t.Errorf("Batch.Price(%+v) err = %v, want ErrBadRequest", req, err)
+		if _, _, err := price(req, NewBatch()); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("price(%+v) err = %v, want ErrBadRequest", req, err)
 		}
 	}
 }
@@ -202,13 +202,13 @@ func TestPriceBadRequests(t *testing.T) {
 // 1<<60 words must be rejected, and law.MaxWords itself still priced.
 func TestBatchPriceWordsBound(t *testing.T) {
 	req := PriceRequest{X: "1", Y: "1", Style: "direct", Words: 1 << 60}
-	if resp, _, err := NewBatch().Price(req); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("Batch.Price(%d words) = %+v, %v; want ErrBadRequest", req.Words, resp, err)
+	if resp, _, err := price(req, NewBatch()); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("price(%d words) = %+v, %v; want ErrBadRequest", req.Words, resp, err)
 	}
 	req.Words = law.MaxWords
-	resp, analytic, err := NewBatch().Price(req)
+	resp, analytic, err := price(req, NewBatch())
 	if err != nil || !analytic || resp.ElapsedUs <= 0 || resp.PayloadBytes != law.MaxWords*8 {
-		t.Errorf("Batch.Price(%d words) = %+v (analytic %t), %v; want a positive law answer", req.Words, resp, analytic, err)
+		t.Errorf("price(%d words) = %+v (analytic %t), %v; want a positive law answer", req.Words, resp, analytic, err)
 	}
 }
 

@@ -12,7 +12,7 @@
 // router's responses byte-identical to a single ctserved and to the
 // CLIs.
 //
-// Endpoints mirror ctserved: /v1/eval, /v1/price and /v1/plan are
+// Endpoints mirror ctserved: every query kind's /v1/<kind> endpoint is
 // proxied whole to the fingerprint's home replica (with failover to
 // ring successors on transport errors); /v1/sweep is expanded locally,
 // fanned out by cell fingerprint via each replica's /v1/cells, and
@@ -28,6 +28,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -206,11 +207,9 @@ func (rt *Router) Close() {
 }
 
 func (rt *Router) routes() {
-	rt.mux.HandleFunc("/v1/eval", rt.handlePoint("eval", func() fingerprinter { return &query.EvalRequest{} }))
-	rt.mux.HandleFunc("/v1/price", rt.handlePoint("price", func() fingerprinter { return &query.PriceRequest{} }))
-	rt.mux.HandleFunc("/v1/plan", rt.handlePoint("plan", func() fingerprinter { return &query.PlanRequest{} }))
-	rt.mux.HandleFunc("/v1/fit", rt.handlePoint("fit", func() fingerprinter { return &query.FitRequest{} }))
-	rt.mux.HandleFunc("/v1/collective", rt.handlePoint("collective", func() fingerprinter { return &query.CollectiveRequest{} }))
+	for _, k := range query.Kinds() {
+		rt.mux.HandleFunc("/v1/"+k.Name, rt.handlePoint(k))
+	}
 	rt.mux.HandleFunc("/v1/sweep", rt.handleSweep)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/v1/stats", rt.handleStats)
@@ -357,9 +356,6 @@ func (rt *Router) markDown(rep *replica) {
 
 // --- Point-query proxying ----------------------------------------------
 
-// fingerprinter is the common shape of the three request types.
-type fingerprinter interface{ Fingerprint() string }
-
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -376,7 +372,7 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // replica, failing over to ring successors on transport errors. The
 // replica's response — status, content type and body — passes through
 // verbatim, preserving byte identity with a direct ctserved query.
-func (rt *Router) handlePoint(kind string, newReq func() fingerprinter) http.HandlerFunc {
+func (rt *Router) handlePoint(k *query.Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
@@ -391,16 +387,14 @@ func (rt *Router) handlePoint(kind string, newReq func() fingerprinter) http.Han
 		// Decode only to compute the fingerprint; the ORIGINAL bytes are
 		// forwarded, so the replica applies its own strict validation and
 		// the router cannot skew a request in transit.
-		req := newReq()
-		dec := json.NewDecoder(strings.NewReader(string(body)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: invalid JSON body: %v", err)})
+		req, err := k.Decode(bytes.NewReader(body))
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 		defer cancel()
-		resp, err := rt.forward(ctx, req.Fingerprint(), "/v1/"+kind, body)
+		resp, err := rt.forward(ctx, req.Fingerprint(), "/v1/"+k.Name, body)
 		if err != nil {
 			rt.stats.rejected.Add(1)
 			writeJSON(w, http.StatusBadGateway, errorBody{Error: err.Error()})

@@ -8,18 +8,9 @@ import (
 	"net/http"
 	"strings"
 
+	"ctcomm/internal/query"
 	"ctcomm/internal/sweep"
 )
-
-// summary mirrors ctserved's terminal NDJSON sweep line.
-type summary struct {
-	Done     bool   `json:"done"`
-	Cells    int    `json:"cells"`
-	Cached   int    `json:"cached"`
-	Analytic int    `json:"analytic"`
-	Failed   int    `json:"failed"`
-	Error    string `json:"error,omitempty"`
-}
 
 // handleSweep fans one sweep out across the fleet: the grid expands
 // locally (so validation and cell order are the router's, identical to
@@ -42,10 +33,8 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec sweep.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: invalid JSON body: %v", err)})
+	if err := query.DecodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), &spec); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	cells, err := sweep.Expand(spec)
@@ -94,29 +83,17 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	var agg summary
-	agg.Done = true
+	agg := sweep.Summary{Done: true}
 	for g := 0; g < len(cells); g++ {
 		sr := order[g]
 		row, err := sr.next(ctx)
 		if err != nil {
 			// The shard is gone: synthesize the error row a replica would
 			// have streamed for an unanswerable cell.
-			c := cells[g]
-			row = sweep.Row{EvalReq: c.Eval, PriceReq: c.Price, PlanReq: c.Plan,
-				CollectiveReq: c.Collective,
-				Err:           fmt.Sprintf("router: shard unreachable: %v", err)}
+			row = sweep.NewRow(cells[g], nil, false, false, fmt.Errorf("router: shard unreachable: %w", err))
 		}
 		row.Index = g // local shard position -> global cell order
-		switch {
-		case row.Err != "":
-			agg.Failed++
-		case row.Cached:
-			agg.Cached++
-		case row.Analytic:
-			agg.Analytic++
-		}
-		agg.Cells++
+		agg.Count(row)
 		if err := enc.Encode(row); err != nil {
 			return // client gone
 		}
@@ -145,8 +122,8 @@ type shardReader struct {
 	cand     int // next candidate to try
 	body     io.ReadCloser
 	dec      *json.Decoder
-	consumed int     // rows already handed to the merge
-	sum      summary // terminal line, once seen
+	consumed int           // rows already handed to the merge
+	sum      sweep.Summary // terminal line, once seen
 	sawSum   bool
 	dead     bool
 }

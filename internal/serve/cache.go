@@ -38,42 +38,18 @@ func newLRUCache(capacity int, maxBytes int64) *lruCache {
 	}
 }
 
-// approxSize estimates the resident bytes of one cache entry. It
-// counts the dominant variable-size fields (the rendered Text plus the
-// structured maps and slices) over a fixed per-entry overhead for the
-// struct itself, the map slot and the list element. Exactness does not
-// matter — the point is that the estimate grows linearly with what
-// actually grows.
+// approxSize estimates the resident bytes of one cache entry: a fixed
+// per-entry overhead for the struct itself, the map slot and the list
+// element, plus the answer's own variable-size fields as its query kind
+// sizes them (query.Kind.Size). Exactness does not matter — the point
+// is that the estimate grows linearly with what actually grows.
 func approxSize(key string, val interface{}) int64 {
 	const entryOverhead = 256
 	n := int64(entryOverhead + len(key))
-	switch v := val.(type) {
-	case query.EvalResponse:
-		n += int64(len(v.Text) + len(v.Expr) + len(v.Machine) + len(v.ChainedErr) + len(v.Bottleneck))
-		if v.Packed != nil {
-			n += int64(32 + len(v.Packed.Expr))
-		}
-		if v.Chained != nil {
-			n += int64(32 + len(v.Chained.Expr))
-		}
-		for k := range v.Table {
-			n += int64(len(k) + 32)
-		}
-	case query.PlanResponse:
-		n += int64(len(v.Text) + len(v.Machine) + len(v.Operation) + len(v.ChainedErr) + len(v.Recommendation))
-		for k := range v.Patterns {
-			n += int64(len(k) + 32)
-		}
-		n += 64 // style reports
-	case query.PriceResponse:
-		n += int64(len(v.Text) + len(v.Machine) + len(v.Style) + len(v.Op))
-		for _, st := range v.Stages {
-			n += int64(48 + len(st.Resource) + len(st.Name))
-		}
-	default:
-		n += 512 // unknown value type: assume something modest
+	if k := query.KindOf(val); k != nil {
+		return n + k.Size(val)
 	}
-	return n
+	return n + 512 // unknown value type: assume something modest
 }
 
 // get returns the cached value and whether it was present, refreshing

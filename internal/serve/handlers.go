@@ -23,11 +23,9 @@ type errorBody struct {
 }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("/v1/eval", s.instrument("eval", point(s, query.Eval)))
-	s.mux.HandleFunc("/v1/price", s.instrument("price", point(s, query.Price)))
-	s.mux.HandleFunc("/v1/plan", s.instrument("plan", point(s, query.Plan)))
-	s.mux.HandleFunc("/v1/fit", s.instrument("fit", point(s, query.Fit)))
-	s.mux.HandleFunc("/v1/collective", s.instrument("collective", point(s, query.Collective)))
+	for _, k := range query.Kinds() {
+		s.mux.HandleFunc("/v1/"+k.Name, s.instrument(k.Name, s.point(k)))
+	}
 	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", s.handleSweep))
 	s.mux.HandleFunc("/v1/cells", s.instrument("cells", s.handleCells))
 	s.mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
@@ -95,15 +93,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeBody strictly decodes one JSON request body into v.
+// decodeBody strictly decodes one bounded JSON request body into v.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: invalid JSON body: %v", query.ErrBadRequest, err)
-	}
-	return nil
+	return query.DecodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
 }
 
 // requirePost rejects non-POST methods.
@@ -116,22 +108,23 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// point answers one point endpoint: it strictly decodes a POSTed Req
-// and answers it through s.do, so repeated queries are cache hits keyed
-// by the request's fingerprint. Every point response Text is
-// byte-identical to the matching ctmodel stdout.
-func point[Req interface{ Fingerprint() string }, Resp any](s *Server, answer func(Req) (Resp, error)) http.HandlerFunc {
+// point answers one point endpoint of kind k: it strictly decodes a
+// POSTed request and answers it through s.do, so repeated queries are
+// cache hits keyed by the request's fingerprint. Every point response
+// Text is byte-identical to the matching ctmodel stdout.
+func (s *Server) point(k *query.Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !requirePost(w, r) {
 			return
 		}
-		var req Req
-		if err := decodeBody(w, r, &req); err != nil {
+		req, err := k.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
 			s.writeError(w, err)
 			return
 		}
 		val, _, err := s.do(r.Context(), req.Fingerprint(), func() (interface{}, error) {
-			return answer(req)
+			val, _, err := k.Answer(req, nil)
+			return val, err
 		})
 		if err != nil {
 			s.writeError(w, err)
@@ -139,18 +132,6 @@ func point[Req interface{ Fingerprint() string }, Resp any](s *Server, answer fu
 		}
 		writeJSON(w, http.StatusOK, val)
 	}
-}
-
-// sweepSummary is the terminal NDJSON line of a /v1/sweep stream: the
-// client knows the sweep finished (and whether it was cut short) by
-// seeing done=true.
-type sweepSummary struct {
-	Done     bool   `json:"done"`
-	Cells    int    `json:"cells"`
-	Cached   int    `json:"cached"`
-	Analytic int    `json:"analytic"`
-	Failed   int    `json:"failed"`
-	Error    string `json:"error,omitempty"`
 }
 
 // handleSweep answers POST /v1/sweep: a batched grid of queries,
@@ -233,8 +214,7 @@ func (s *Server) streamCells(w http.ResponseWriter, r *http.Request, cells []swe
 		Runner:  s.sweepCell,
 		Submit:  s.submitChunk,
 	}, emit)
-	sum := sweepSummary{Done: true, Cells: stats.Cells, Cached: stats.Cached,
-		Analytic: stats.Analytic, Failed: stats.Failed}
+	sum := sweep.Summary{Done: true, Stats: stats}
 	if err != nil {
 		sum.Error = err.Error()
 	}

@@ -113,28 +113,21 @@ type Stats struct {
 // record is the JSON payload of one persisted entry.
 type record struct {
 	Key  string          `json:"k"`
-	Type string          `json:"t"`
+	Type string          `json:"t"` // the query kind's name
 	Val  json.RawMessage `json:"v"`
 }
 
-// encodeValue tags a cacheable response with its concrete type.
+// encodeValue tags a cacheable response with its query kind's name.
 func encodeValue(key string, val interface{}) ([]byte, error) {
-	var t string
-	switch val.(type) {
-	case query.EvalResponse:
-		t = "eval"
-	case query.PriceResponse:
-		t = "price"
-	case query.PlanResponse:
-		t = "plan"
-	default:
+	k := query.KindOf(val)
+	if k == nil {
 		return nil, fmt.Errorf("persist: unsupported value type %T", val)
 	}
 	v, err := json.Marshal(val)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(record{Key: key, Type: t, Val: v})
+	return json.Marshal(record{Key: key, Type: k.Name, Val: v})
 }
 
 // decodeValue reverses encodeValue. The returned value is the same
@@ -145,27 +138,15 @@ func decodeValue(payload []byte) (string, interface{}, error) {
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return "", nil, err
 	}
-	switch rec.Type {
-	case "eval":
-		var v query.EvalResponse
-		if err := json.Unmarshal(rec.Val, &v); err != nil {
-			return "", nil, err
-		}
-		return rec.Key, v, nil
-	case "price":
-		var v query.PriceResponse
-		if err := json.Unmarshal(rec.Val, &v); err != nil {
-			return "", nil, err
-		}
-		return rec.Key, v, nil
-	case "plan":
-		var v query.PlanResponse
-		if err := json.Unmarshal(rec.Val, &v); err != nil {
-			return "", nil, err
-		}
-		return rec.Key, v, nil
+	k := query.Lookup(rec.Type)
+	if k == nil {
+		return "", nil, fmt.Errorf("persist: unknown record type %q", rec.Type)
 	}
-	return "", nil, fmt.Errorf("persist: unknown record type %q", rec.Type)
+	v, err := k.DecodeAnswer(rec.Val)
+	if err != nil {
+		return "", nil, err
+	}
+	return rec.Key, v, nil
 }
 
 // entry is one queued write-behind item.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ctcomm/internal/calibrate"
 	"ctcomm/internal/query"
 )
 
@@ -74,10 +75,26 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	collReq := query.CollectiveRequest{Machine: "t3d", Collective: "all-to-all", Words: 1024}
+	coll, err := query.Collective(collReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xe6, err := query.ResolveMachine("xe6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitReq := query.FitRequest{Base: "xe6", Rows: calibrate.Synthesize(xe6, nil)}
+	fit, err := query.Fit(fitReq)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := map[string]interface{}{
 		query.EvalRequest{Machine: "t3d", Expr: "1C64"}.Fingerprint():                                       eval,
 		query.PriceRequest{Machine: "t3d", X: "1", Y: "64", Words: 4096}.Fingerprint():                      price,
 		query.PlanRequest{Machine: "t3d", N: 1024, P: 8, Src: "BLOCK", Dst: "CYCLIC"}.Canon().Fingerprint(): plan,
+		collReq.Fingerprint(): coll,
+		fitReq.Fingerprint():  fit,
 	}
 	for k, v := range want {
 		s.Put(k, v)

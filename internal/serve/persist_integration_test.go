@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"ctcomm/internal/calibrate"
+	"ctcomm/internal/query"
 	"ctcomm/internal/sweep"
 )
 
@@ -15,11 +17,21 @@ import (
 // the reloaded snapshot, as cache hits, with warm_loaded accounting.
 func TestWarmStartByteIdentical(t *testing.T) {
 	dir := t.TempDir()
+	xe6, err := query.ResolveMachine("xe6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitBody, err := json.Marshal(query.FitRequest{Base: "xe6", Rows: calibrate.Synthesize(xe6, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	queries := []struct{ path, body string }{
 		{"/v1/eval", `{"machine":"t3d","expr":"1C64"}`},
 		{"/v1/eval", `{"machine":"paragon","expr":"1C8"}`},
 		{"/v1/price", `{"machine":"t3d","x":"1","y":"64","words":4096}`},
 		{"/v1/plan", `{"machine":"t3d","n":1024,"p":8,"src":"BLOCK","dst":"CYCLIC"}`},
+		{"/v1/collective", `{"machine":"t3d","collective":"all-to-all","words":1024}`},
+		{"/v1/fit", string(fitBody)},
 	}
 
 	s1, err := Open(Config{PersistDir: dir})

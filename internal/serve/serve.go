@@ -5,13 +5,16 @@
 //
 // Endpoints:
 //
-//	POST /v1/eval    evaluate an expression / price an operation (query.Eval)
-//	POST /v1/price   simulate an operation end to end (query.Price)
-//	POST /v1/plan    derive + price an HPF redistribution (query.Plan)
-//	POST /v1/sweep   batched grid of queries, streamed as NDJSON (sweep.Run)
-//	GET  /healthz    liveness
-//	GET  /metrics    Prometheus text exposition
-//	GET  /v1/stats   runstats.ServeStats JSON dump
+//	POST /v1/eval        evaluate an expression / price an operation (query.Eval)
+//	POST /v1/price       simulate an operation end to end (query.Price)
+//	POST /v1/plan        derive + price an HPF redistribution (query.Plan)
+//	POST /v1/collective  plan + compare a collective's strategies (query.Collective)
+//	POST /v1/fit         fit a machine profile to measurements (query.Fit)
+//	POST /v1/sweep       batched grid of queries, streamed as NDJSON (sweep.Run)
+//	POST /v1/cells       explicit sweep cells, the router's shard transport
+//	GET  /healthz        liveness
+//	GET  /metrics        Prometheus text exposition
+//	GET  /v1/stats       runstats.ServeStats JSON dump
 //
 // Production shape:
 //
@@ -180,13 +183,17 @@ func New(cfg Config) *Server {
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		queue:   make(chan job, cfg.QueueDepth),
-		cache:   newLRUCache(cfg.CacheEntries, cfg.CacheBytes),
-		flight:  map[string]*call{},
-		metrics: newMetrics([]string{"eval", "price", "plan", "fit", "collective", "sweep", "cells", "healthz", "metrics", "stats"}),
+		cfg:    cfg,
+		mux:    http.NewServeMux(),
+		queue:  make(chan job, cfg.QueueDepth),
+		cache:  newLRUCache(cfg.CacheEntries, cfg.CacheBytes),
+		flight: map[string]*call{},
 	}
+	var endpoints []string
+	for _, k := range query.Kinds() {
+		endpoints = append(endpoints, k.Name)
+	}
+	s.metrics = newMetrics(append(endpoints, "sweep", "cells", "healthz", "metrics", "stats"))
 	if cfg.PersistDir != "" {
 		st, err := persist.Open(cfg.PersistDir, persist.Options{
 			FlushInterval: cfg.PersistFlush,

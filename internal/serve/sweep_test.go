@@ -11,19 +11,20 @@ import (
 	"testing"
 	"time"
 
+	"ctcomm/internal/calibrate"
 	"ctcomm/internal/query"
 	"ctcomm/internal/sweep"
 )
 
 // parseNDJSON splits a /v1/sweep body into cell rows and the terminal
 // summary line.
-func parseNDJSON(t *testing.T, body string) ([]sweep.Row, sweepSummary) {
+func parseNDJSON(t *testing.T, body string) ([]sweep.Row, sweep.Summary) {
 	t.Helper()
 	lines := strings.Split(strings.TrimSpace(body), "\n")
 	if len(lines) == 0 {
 		t.Fatal("empty sweep body")
 	}
-	var sum sweepSummary
+	var sum sweep.Summary
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil || !sum.Done {
 		t.Fatalf("last line is not a summary: %q (%v)", lines[len(lines)-1], err)
 	}
@@ -367,6 +368,30 @@ func TestCacheByteCap(t *testing.T) {
 	}
 	if c4.len() != 2 {
 		t.Errorf("entry cap ignored: %d entries", c4.len())
+	}
+}
+
+// TestCacheSizesEveryKind: every query kind's answer is sized from its
+// own fields, so a large fit or collective answer is charged at least
+// its rendered text rather than a flat default.
+func TestCacheSizesEveryKind(t *testing.T) {
+	xe6, err := query.ResolveMachine("xe6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit, err := query.Fit(query.FitRequest{Base: "xe6", Rows: calibrate.Synthesize(xe6, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, min := approxSize("k", fit), int64(len(fit.Text)+len(fit.Profile)); got < min {
+		t.Errorf("approxSize(xe6 fit) = %d, want >= len(Text)+len(Profile) = %d", got, min)
+	}
+	coll, err := query.Collective(query.CollectiveRequest{Machine: "t3d", Collective: "all-to-all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, min := approxSize("k", coll), int64(len(coll.Text)); got < min {
+		t.Errorf("approxSize(collective) = %d, want >= len(Text) = %d", got, min)
 	}
 }
 

@@ -24,8 +24,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
+	"ctcomm/internal/once"
 	"ctcomm/internal/query"
 )
 
@@ -103,7 +105,9 @@ func badf(format string, args ...interface{}) error {
 
 // Cell is one expanded grid point: exactly one of Eval, Price, Plan
 // or Collective is set, already canonicalized (defaults applied), so
-// its fingerprint matches the equivalent point query's.
+// its fingerprint matches the equivalent point query's. The typed
+// fields are the NDJSON wire schema; everything else dispatches
+// through the query kind table.
 type Cell struct {
 	Index      int                      `json:"-"`
 	Eval       *query.EvalRequest       `json:"eval,omitempty"`
@@ -112,19 +116,31 @@ type Cell struct {
 	Collective *query.CollectiveRequest `json:"collective,omitempty"`
 }
 
+// request is the cell's one Cell→request accessor: its first set
+// request in field order (checked last to first, so the first wins),
+// and how many are set — a valid cell has exactly one.
+func (c Cell) request() (req query.Request, n int) {
+	if c.Collective != nil {
+		req, n = c.Collective, n+1
+	}
+	if c.Plan != nil {
+		req, n = c.Plan, n+1
+	}
+	if c.Price != nil {
+		req, n = c.Price, n+1
+	}
+	if c.Eval != nil {
+		req, n = c.Eval, n+1
+	}
+	return req, n
+}
+
 // Fingerprint is the cell's canonical cache key — identical to the
 // fingerprint of the equivalent point query, so a sweep shares cache
-// entries with /v1/eval, /v1/price and /v1/plan.
+// entries with the point endpoints.
 func (c Cell) Fingerprint() string {
-	switch {
-	case c.Eval != nil:
-		return c.Eval.Fingerprint()
-	case c.Price != nil:
-		return c.Price.Fingerprint()
-	case c.Plan != nil:
-		return c.Plan.Fingerprint()
-	case c.Collective != nil:
-		return c.Collective.Fingerprint()
+	if req, n := c.request(); n > 0 {
+		return req.Fingerprint()
 	}
 	return "sweep|empty"
 }
@@ -143,66 +159,16 @@ func (c Cell) Exec() (interface{}, error) {
 // engine-simulated) — provenance only: by the batch contract the
 // response, including its rendered Text, is identical either way.
 func (c Cell) ExecBatch(b *query.Batch) (interface{}, bool, error) {
-	switch {
-	case c.Eval != nil:
-		if b != nil {
-			r, analytic, err := b.Eval(*c.Eval)
-			if err != nil {
-				return nil, false, err
-			}
-			return r, analytic, nil
-		}
-		r, err := query.Eval(*c.Eval)
-		if err != nil {
-			return nil, false, err
-		}
-		return r, false, nil
-	case c.Price != nil:
-		if b != nil {
-			r, analytic, err := b.Price(*c.Price)
-			if err != nil {
-				return nil, false, err
-			}
-			return r, analytic, nil
-		}
-		r, err := query.Price(*c.Price)
-		if err != nil {
-			return nil, false, err
-		}
-		return r, false, nil
-	case c.Plan != nil:
-		if b != nil {
-			r, analytic, err := b.Plan(*c.Plan)
-			if err != nil {
-				return nil, false, err
-			}
-			return r, analytic, nil
-		}
-		r, err := query.Plan(*c.Plan)
-		if err != nil {
-			return nil, false, err
-		}
-		return r, false, nil
-	case c.Collective != nil:
-		if b != nil {
-			r, analytic, err := b.Collective(*c.Collective)
-			if err != nil {
-				return nil, false, err
-			}
-			return r, analytic, nil
-		}
-		r, err := query.Collective(*c.Collective)
-		if err != nil {
-			return nil, false, err
-		}
-		return r, false, nil
+	req, n := c.request()
+	if n == 0 {
+		return nil, false, badf("empty cell")
 	}
-	return nil, false, badf("empty cell")
+	return query.KindOf(req).Answer(req, b)
 }
 
-// Row is one per-cell result. The request echo (EvalReq/PriceReq/
-// PlanReq) identifies the cell; exactly one response field (or Err) is
-// set. The response is the same struct a point query returns, so its
+// Row is one per-cell result. The request echo (the *Req field of the
+// cell's kind) identifies the cell; exactly one response field (or Err)
+// is set. The response is the same struct a point query returns, so its
 // Text field is byte-identical to the CLI output for the same inputs.
 type Row struct {
 	Index  int  `json:"index"`
@@ -236,27 +202,35 @@ type Stats struct {
 	Failed   int `json:"failed"`
 }
 
+// Count folds one emitted row into the stats.
+func (st *Stats) Count(r Row) {
+	st.Cells++
+	switch {
+	case r.Err != "":
+		st.Failed++
+	case r.Cached:
+		st.Cached++
+	case r.Analytic:
+		st.Analytic++
+	}
+}
+
+// Summary is the terminal NDJSON line of a served sweep stream: the
+// client knows the sweep finished (and whether it was cut short) by
+// seeing done=true.
+type Summary struct {
+	Done bool `json:"done"`
+	Stats
+	Error string `json:"error,omitempty"`
+}
+
 // --- Expansion ---------------------------------------------------------
 
 // orDefault returns axis, or a one-element axis of the zero value so
 // the query core's Canon() applies its default.
-func orDefault(axis []string) []string {
+func orDefault[T any](axis []T) []T {
 	if len(axis) == 0 {
-		return []string{""}
-	}
-	return axis
-}
-
-func orDefaultInts(axis []int) []int {
-	if len(axis) == 0 {
-		return []int{0}
-	}
-	return axis
-}
-
-func orDefaultFloats(axis []float64) []float64 {
-	if len(axis) == 0 {
-		return []float64{0}
+		return make([]T, 1)
 	}
 	return axis
 }
@@ -283,14 +257,31 @@ func (s Spec) kind() string {
 	return s.Kind
 }
 
-// rejectAxes fails if any named axis is non-empty.
-func rejectAxes(kind string, axes map[string]int) error {
-	for name, n := range axes {
-		if n > 0 {
-			return badf("axis %q does not apply to kind %q", name, kind)
-		}
+// axis is one grid axis of a Spec: its JSON name and length.
+type axis struct {
+	name string
+	n    int
+}
+
+// axes lists the spec's grid axes in Spec field order.
+func (s Spec) axes() [18]axis {
+	return [...]axis{
+		{"machines", len(s.Machines)}, {"rates", len(s.Rates)}, {"exprs", len(s.Exprs)},
+		{"levels", len(s.Levels)}, {"ops", len(s.Ops)}, {"xs", len(s.Xs)}, {"ys", len(s.Ys)},
+		{"styles", len(s.Styles)}, {"words", len(s.Words)}, {"congestions", len(s.Congestions)},
+		{"ns", len(s.Ns)}, {"ps", len(s.Ps)}, {"srcs", len(s.Srcs)}, {"dsts", len(s.Dsts)},
+		{"transposes", len(s.Transposes)}, {"collectives", len(s.Collectives)},
+		{"strategies", len(s.Strategies)}, {"node_counts", len(s.NodeCounts)},
 	}
-	return nil
+}
+
+// kindAxes lists the axes each sweepable kind's grid uses; Expand
+// rejects any other non-empty axis.
+var kindAxes = map[string][]string{
+	"eval":       {"machines", "rates", "exprs", "levels", "ops", "xs", "ys", "congestions"},
+	"price":      {"machines", "ops", "xs", "ys", "styles", "words", "congestions"},
+	"plan":       {"machines", "ns", "ps", "srcs", "dsts", "transposes"},
+	"collective": {"machines", "levels", "words", "collectives", "strategies", "node_counts"},
 }
 
 // cap returns the effective cell cap for the spec.
@@ -320,17 +311,19 @@ func Expand(s Spec) ([]Cell, error) {
 		return nil
 	}
 
-	switch s.kind() {
-	case "eval":
-		if err := rejectAxes("eval", map[string]int{
-			"styles": len(s.Styles), "words": len(s.Words),
-			"ns": len(s.Ns), "ps": len(s.Ps), "srcs": len(s.Srcs),
-			"dsts": len(s.Dsts), "transposes": len(s.Transposes),
-			"collectives": len(s.Collectives), "strategies": len(s.Strategies),
-			"node_counts": len(s.NodeCounts),
-		}); err != nil {
-			return nil, err
+	kind := s.kind()
+	uses, ok := kindAxes[kind]
+	if !ok {
+		return nil, badf("unknown kind %q (want eval, price, plan or collective)", s.Kind)
+	}
+	for _, a := range s.axes() {
+		if a.n > 0 && !slices.Contains(uses, a.name) {
+			return nil, badf("axis %q does not apply to kind %q", a.name, kind)
 		}
+	}
+
+	switch kind {
+	case "eval":
 		ops := s.ops()
 		if len(s.Exprs) == 0 && len(ops) == 0 {
 			return nil, badf(`kind "eval" needs at least one of exprs, ops, or xs+ys`)
@@ -338,7 +331,7 @@ func Expand(s Spec) ([]Cell, error) {
 		for _, m := range orDefault(s.Machines) {
 			for _, rates := range orDefault(s.Rates) {
 				for _, level := range orDefault(s.Levels) {
-					for _, cong := range orDefaultFloats(s.Congestions) {
+					for _, cong := range orDefault(s.Congestions) {
 						for _, expr := range s.Exprs {
 							r := query.EvalRequest{Machine: m, Rates: rates, Expr: expr, Congestion: cong, Level: level}.Canon()
 							if err := add(Cell{Eval: &r}); err != nil {
@@ -357,15 +350,6 @@ func Expand(s Spec) ([]Cell, error) {
 		}
 
 	case "price":
-		if err := rejectAxes("price", map[string]int{
-			"rates": len(s.Rates), "exprs": len(s.Exprs), "levels": len(s.Levels),
-			"ns": len(s.Ns), "ps": len(s.Ps), "srcs": len(s.Srcs),
-			"dsts": len(s.Dsts), "transposes": len(s.Transposes),
-			"collectives": len(s.Collectives), "strategies": len(s.Strategies),
-			"node_counts": len(s.NodeCounts),
-		}); err != nil {
-			return nil, err
-		}
 		ops := s.ops()
 		if len(ops) == 0 {
 			return nil, badf(`kind "price" needs ops or xs+ys`)
@@ -373,8 +357,8 @@ func Expand(s Spec) ([]Cell, error) {
 		for _, m := range orDefault(s.Machines) {
 			for _, style := range orDefault(s.Styles) {
 				for _, op := range ops {
-					for _, cong := range orDefaultFloats(s.Congestions) {
-						for _, words := range orDefaultInts(s.Words) {
+					for _, cong := range orDefault(s.Congestions) {
+						for _, words := range orDefault(s.Words) {
 							x, y, err := splitOp(op)
 							if err != nil {
 								// Keep the malformed op as a cell so it
@@ -395,23 +379,13 @@ func Expand(s Spec) ([]Cell, error) {
 		}
 
 	case "plan":
-		if err := rejectAxes("plan", map[string]int{
-			"rates": len(s.Rates), "exprs": len(s.Exprs), "ops": len(s.Ops),
-			"xs": len(s.Xs), "ys": len(s.Ys), "styles": len(s.Styles),
-			"words": len(s.Words), "congestions": len(s.Congestions),
-			"levels":      len(s.Levels),
-			"collectives": len(s.Collectives), "strategies": len(s.Strategies),
-			"node_counts": len(s.NodeCounts),
-		}); err != nil {
-			return nil, err
-		}
 		if len(s.Transposes) > 0 {
 			if len(s.Ns)+len(s.Srcs)+len(s.Dsts) > 0 {
 				return nil, badf("transposes excludes ns/srcs/dsts")
 			}
 			for _, m := range orDefault(s.Machines) {
 				for _, tr := range s.Transposes {
-					for _, p := range orDefaultInts(s.Ps) {
+					for _, p := range orDefault(s.Ps) {
 						r := query.PlanRequest{Machine: m, Transpose: tr, P: p}.Canon()
 						if err := add(Cell{Plan: &r}); err != nil {
 							return nil, err
@@ -422,8 +396,8 @@ func Expand(s Spec) ([]Cell, error) {
 			break
 		}
 		for _, m := range orDefault(s.Machines) {
-			for _, n := range orDefaultInts(s.Ns) {
-				for _, p := range orDefaultInts(s.Ps) {
+			for _, n := range orDefault(s.Ns) {
+				for _, p := range orDefault(s.Ps) {
 					for _, src := range orDefault(s.Srcs) {
 						for _, dst := range orDefault(s.Dsts) {
 							r := query.PlanRequest{Machine: m, N: n, P: p, Src: src, Dst: dst}.Canon()
@@ -437,15 +411,6 @@ func Expand(s Spec) ([]Cell, error) {
 		}
 
 	case "collective":
-		if err := rejectAxes("collective", map[string]int{
-			"rates": len(s.Rates), "exprs": len(s.Exprs), "ops": len(s.Ops),
-			"xs": len(s.Xs), "ys": len(s.Ys), "styles": len(s.Styles),
-			"congestions": len(s.Congestions),
-			"ns":          len(s.Ns), "ps": len(s.Ps), "srcs": len(s.Srcs),
-			"dsts": len(s.Dsts), "transposes": len(s.Transposes),
-		}); err != nil {
-			return nil, err
-		}
 		if len(s.Collectives) == 0 {
 			return nil, badf(`kind "collective" needs at least one collective (all-to-all, broadcast, shift, reduce)`)
 		}
@@ -453,8 +418,8 @@ func Expand(s Spec) ([]Cell, error) {
 			for _, coll := range s.Collectives {
 				for _, strat := range orDefault(s.Strategies) {
 					for _, level := range orDefault(s.Levels) {
-						for _, nodes := range orDefaultInts(s.NodeCounts) {
-							for _, words := range orDefaultInts(s.Words) {
+						for _, nodes := range orDefault(s.NodeCounts) {
+							for _, words := range orDefault(s.Words) {
 								r := query.CollectiveRequest{
 									Machine: m, Collective: coll, Strategy: strat,
 									Nodes: nodes, Words: words, Level: level,
@@ -469,8 +434,6 @@ func Expand(s Spec) ([]Cell, error) {
 			}
 		}
 
-	default:
-		return nil, badf("unknown kind %q (want eval, price, plan or collective)", s.Kind)
 	}
 
 	if len(cells) == 0 {
@@ -502,20 +465,7 @@ func PrepareCells(cells []Cell, limit int) error {
 		return badf("%d cells exceeds the cap %d", len(cells), limit)
 	}
 	for i := range cells {
-		set := 0
-		if cells[i].Eval != nil {
-			set++
-		}
-		if cells[i].Price != nil {
-			set++
-		}
-		if cells[i].Plan != nil {
-			set++
-		}
-		if cells[i].Collective != nil {
-			set++
-		}
-		if set != 1 {
+		if _, set := cells[i].request(); set != 1 {
 			return badf("cell %d must carry exactly one of eval, price, plan or collective", i)
 		}
 		cells[i].Index = i
@@ -541,7 +491,7 @@ func splitOp(op string) (x, y string, err error) {
 
 // Runner executes one cell against the sweep's shared batch context b
 // (nil when Options.Engine disabled it), returning the response value
-// (query.EvalResponse, PriceResponse or PlanResponse), whether it was
+// (the cell kind's answer, as query.Kind.Answer returns it), whether it was
 // served from a cache, whether it was answered analytically, and the
 // cell's error if it is invalid or fails.
 type Runner func(ctx context.Context, b *query.Batch, c Cell) (val interface{}, cached, analytic bool, err error)
@@ -585,33 +535,33 @@ func (o Options) withDefaults(cells int) Options {
 
 // DirectRunner executes cells in-process with a sweep-local memo, so
 // duplicate cells within one sweep (or across sweeps sharing the
-// runner) are computed once. The serve subsystem supplies its own
-// Runner backed by the process-wide fingerprint LRU instead.
+// runner) are computed once — concurrent duplicates included: the
+// first computes, the rest wait for it and report cached. The serve
+// subsystem supplies its own Runner backed by the process-wide
+// fingerprint LRU instead.
 func DirectRunner() Runner {
-	var mu sync.Mutex
-	type memoEntry struct {
-		val interface{}
-		err error
+	type result struct {
+		val      interface{}
+		analytic bool
+		err      error
 	}
-	memo := map[string]memoEntry{}
+	var memo once.Map[string, result]
 	return func(ctx context.Context, b *query.Batch, c Cell) (interface{}, bool, bool, error) {
-		key := c.Fingerprint()
-		mu.Lock()
-		if e, ok := memo[key]; ok {
-			mu.Unlock()
-			return e.val, true, false, e.err
-		}
-		mu.Unlock()
-		val, analytic, err := c.ExecBatch(b)
-		mu.Lock()
-		memo[key] = memoEntry{val, err}
-		mu.Unlock()
-		return val, false, analytic, err
+		computed := false
+		r := memo.Get(c.Fingerprint(), func() result {
+			computed = true
+			val, analytic, err := c.ExecBatch(b)
+			return result{val, analytic, err}
+		})
+		return r.val, !computed, computed && r.analytic, r.err
 	}
 }
 
-// buildRow folds one executed cell into its row.
-func buildRow(c Cell, val interface{}, cached, analytic bool, err error) Row {
+// NewRow folds one executed cell into its row: the cell's request echo,
+// then its answer, or its error (an error row is never cached or
+// analytic). It is the one row constructor, shared by Run and by the
+// router's rows for unreachable shards.
+func NewRow(c Cell, val interface{}, cached, analytic bool, err error) Row {
 	row := Row{Index: c.Index, Cached: cached, Analytic: analytic,
 		EvalReq: c.Eval, PriceReq: c.Price, PlanReq: c.Plan, CollectiveReq: c.Collective}
 	if err != nil {
@@ -678,7 +628,7 @@ func Run(ctx context.Context, cells []Cell, opt Options, emit func(Row) error) (
 					}
 					val, cached, analytic, err := opt.Runner(cctx, batch, c)
 					select {
-					case rowCh <- buildRow(c, val, cached, analytic, err):
+					case rowCh <- NewRow(c, val, cached, analytic, err):
 					case <-cctx.Done():
 						return
 					}
@@ -724,15 +674,7 @@ func Run(ctx context.Context, cells []Cell, opt Options, emit func(Row) error) (
 				cancel() // stop the workers; drain rowCh below
 				continue
 			}
-			stats.Cells++
-			switch {
-			case r.Err != "":
-				stats.Failed++
-			case r.Cached:
-				stats.Cached++
-			case r.Analytic:
-				stats.Analytic++
-			}
+			stats.Count(r)
 		}
 	}
 	if emitErr != nil {

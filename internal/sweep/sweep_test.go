@@ -92,6 +92,9 @@ func TestExpandRejections(t *testing.T) {
 		{"price with exprs", Spec{Kind: "price", Ops: []string{"1Q1"}, Exprs: []string{"1C1"}}, "does not apply"},
 		{"plan with words", Spec{Kind: "plan", Ns: []int{64}, Words: []int{8}}, "does not apply"},
 		{"transposes with ns", Spec{Kind: "plan", Transposes: []int{64}, Ns: []int{64}}, "excludes"},
+		// Two wrong axes: the error names the first in Spec field order.
+		{"collective with ops and srcs", Spec{Kind: "collective", Collectives: []string{"shift"},
+			Srcs: []string{"BLOCK"}, Ops: []string{"1Q1"}}, `axis "ops" does not apply`},
 		{"empty eval", Spec{Kind: "eval"}, "needs at least one"},
 		{"empty price", Spec{Kind: "price"}, "needs ops"},
 		{"over cap", Spec{Kind: "price", Ops: []string{"1Q1"}, Words: manyInts(DefaultMaxCells + 1)}, "exceeds"},
@@ -234,28 +237,32 @@ func TestRunWordsBoundErrorRow(t *testing.T) {
 
 // DirectRunner memoizes duplicate cells within a sweep.
 func TestDirectRunnerMemo(t *testing.T) {
-	// Ops axis repeats the same operation: 3 duplicate cells.
+	// Ops axis repeats the same operation: 3 duplicate cells. With
+	// four one-cell chunks the duplicates run concurrently, and still
+	// exactly one computes.
 	cells, err := Expand(Spec{Kind: "eval", Ops: []string{"1Q64", "1Q64", "1Q64"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []Row
-	st, err := Run(context.Background(), cells, Options{Workers: 1, ChunkSize: 8}, func(r Row) error {
-		rows = append(rows, r)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cached != 2 {
-		t.Errorf("stats = %+v, want 2 cached", st)
-	}
-	if rows[0].Cached || !rows[1].Cached || !rows[2].Cached {
-		t.Errorf("cached flags = %v %v %v", rows[0].Cached, rows[1].Cached, rows[2].Cached)
-	}
-	// All three answers are identical.
-	if !reflect.DeepEqual(rows[0].Eval, rows[1].Eval) || !reflect.DeepEqual(rows[1].Eval, rows[2].Eval) {
-		t.Error("memoized answers differ")
+	for _, opt := range []Options{{Workers: 1, ChunkSize: 8}, {Workers: 4, ChunkSize: 1}} {
+		var rows []Row
+		st, err := Run(context.Background(), cells, opt, func(r Row) error {
+			rows = append(rows, r)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cached != 2 {
+			t.Errorf("workers %d: stats = %+v, want 2 cached", opt.Workers, st)
+		}
+		if opt.Workers == 1 && (rows[0].Cached || !rows[1].Cached || !rows[2].Cached) {
+			t.Errorf("cached flags = %v %v %v", rows[0].Cached, rows[1].Cached, rows[2].Cached)
+		}
+		// All three answers are identical.
+		if !reflect.DeepEqual(rows[0].Eval, rows[1].Eval) || !reflect.DeepEqual(rows[1].Eval, rows[2].Eval) {
+			t.Errorf("workers %d: memoized answers differ", opt.Workers)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ echo "== sweep benchmarks (batch vs engine-per-cell) =="
 	| tee /dev/stderr | record "$BENCH_DIR/BENCH_sweep.json"
 
 echo "== memsim hot-path benchmarks =="
-"$GO" test -bench 'BenchmarkRunStream$|BenchmarkLoadStream$|BenchmarkStoreStream$|BenchmarkEngineWrite$' \
+"$GO" test -bench 'BenchmarkRunStream$|BenchmarkEngineWrite$' \
 	-benchtime "$BENCHTIME" -benchmem -run '^$' ./internal/memsim/ \
 	| tee /dev/stderr | record "$BENCH_DIR/BENCH_hotpath.json"
 
