@@ -8,8 +8,11 @@ package calibrate
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"ctcomm/internal/machine"
 	"ctcomm/internal/once"
@@ -84,11 +87,19 @@ var (
 	cache       once.Map[string, measurement]
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
+	buildNanos  atomic.Int64
 )
 
 // CacheStats reports process-wide calibration cache hits and misses.
 func CacheStats() (hits, misses int64) {
 	return cacheHits.Load(), cacheMisses.Load()
+}
+
+// BuildTime reports the process-wide wall time spent measuring rate
+// tables (cache misses only), so set-up cost is visible without a
+// profiler.
+func BuildTime() time.Duration {
+	return time.Duration(buildNanos.Load())
 }
 
 // fingerprint keys the cache by everything a rate table depends on. The
@@ -112,6 +123,8 @@ func Measure(m *machine.Machine, words int) *Table {
 	e := cache.Get(fingerprint(m, words), func() measurement {
 		hit = false
 		cacheMisses.Add(1)
+		start := time.Now()
+		defer func() { buildNanos.Add(int64(time.Since(start))) }()
 		var st sim.Stats
 		clone := *m
 		clone.Observe(&st)
@@ -133,45 +146,77 @@ func Measure(m *machine.Machine, words int) *Table {
 // measureUncached runs every basic transfer the machine supports with
 // the pattern set of the paper's tables and returns the rate table. Each
 // measurement uses a fresh (cold) node, as the paper's microbenchmarks
-// operate far beyond cache capacity.
+// operate far beyond cache capacity. The measurements are independent,
+// so they run on GOMAXPROCS workers; rates are merged in job order, and
+// the attribution Stats is atomic integer counting, so neither depends
+// on scheduling.
 func measureUncached(m *machine.Machine, words int) *Table {
-	t := &Table{Machine: m.Name, Rates: make(map[string]float64)}
-
-	// Local copies xCy for all pattern combinations (Table 1 and Fig 4).
-	for _, r := range memPatterns {
-		for _, w := range memPatterns {
-			n := m.NewNode(0)
-			res, err := xfer.Copy(n, r, w, words)
-			if err == nil {
-				t.Rates[Key(r, 'C', w)] = res.MBps()
+	jobs := transferJobs(words)
+	rates := make([]float64, len(jobs))
+	ok := make([]bool, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+				if res, err := jobs[i].run(m.NewNode(0)); err == nil {
+					rates[i], ok[i] = res.MBps(), true
+				}
 			}
-		}
+		}()
 	}
+	wg.Wait()
 
-	// Send transfers xS0 and xF0 (Table 2).
-	for _, r := range memPatterns {
-		n := m.NewNode(0)
-		if res, err := xfer.LoadSend(n, r, words); err == nil {
-			t.Rates[Key(r, 'S', pattern.Fixed())] = res.MBps()
-		}
-		n = m.NewNode(0)
-		if res, err := xfer.FetchSend(n, r, words); err == nil {
-			t.Rates[Key(r, 'F', pattern.Fixed())] = res.MBps()
-		}
-	}
-
-	// Receive transfers 0Ry and 0Dy (Table 3).
-	for _, w := range memPatterns {
-		n := m.NewNode(0)
-		if res, err := xfer.RecvStore(n, w, words); err == nil {
-			t.Rates[Key(pattern.Fixed(), 'R', w)] = res.MBps()
-		}
-		n = m.NewNode(0)
-		if res, err := xfer.RecvDeposit(n, w, words); err == nil {
-			t.Rates[Key(pattern.Fixed(), 'D', w)] = res.MBps()
+	t := &Table{Machine: m.Name, Rates: make(map[string]float64, len(jobs))}
+	for i, j := range jobs {
+		if ok[i] {
+			t.Rates[j.key] = rates[i]
 		}
 	}
 	return t
+}
+
+// transferJob is one basic-transfer measurement of a rate table: its
+// key and the transfer, run on a fresh node. A transfer the machine
+// does not support returns an error and leaves its key unmeasured.
+type transferJob struct {
+	key string
+	run func(n *machine.Node) (xfer.Result, error)
+}
+
+// transferJobs lists a rate table's measurements: the local copies xCy
+// for all pattern combinations (Table 1 and Fig 4), the send transfers
+// xS0 and xF0 (Table 2) and the receive transfers 0Ry and 0Dy (Table 3).
+func transferJobs(words int) []transferJob {
+	var jobs []transferJob
+	for _, r := range memPatterns {
+		for _, w := range memPatterns {
+			jobs = append(jobs, transferJob{Key(r, 'C', w), func(n *machine.Node) (xfer.Result, error) {
+				return xfer.Copy(n, r, w, words)
+			}})
+		}
+	}
+	for _, r := range memPatterns {
+		jobs = append(jobs,
+			transferJob{Key(r, 'S', pattern.Fixed()), func(n *machine.Node) (xfer.Result, error) {
+				return xfer.LoadSend(n, r, words)
+			}},
+			transferJob{Key(r, 'F', pattern.Fixed()), func(n *machine.Node) (xfer.Result, error) {
+				return xfer.FetchSend(n, r, words)
+			}})
+	}
+	for _, w := range memPatterns {
+		jobs = append(jobs,
+			transferJob{Key(pattern.Fixed(), 'R', w), func(n *machine.Node) (xfer.Result, error) {
+				return xfer.RecvStore(n, w, words)
+			}},
+			transferJob{Key(pattern.Fixed(), 'D', w), func(n *machine.Node) (xfer.Result, error) {
+				return xfer.RecvDeposit(n, w, words)
+			}})
+	}
+	return jobs
 }
 
 // StrideSweep measures the local copy rate with one side strided at each

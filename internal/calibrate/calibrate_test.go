@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ctcomm/internal/machine"
+	"ctcomm/internal/memsim"
 	"ctcomm/internal/model"
 	"ctcomm/internal/netsim"
 	"ctcomm/internal/pattern"
@@ -286,6 +287,39 @@ func TestMeasureConcurrentSingleflight(t *testing.T) {
 			if tables[i].Rates[k] != v {
 				t.Fatalf("concurrent Measure %d: rate %s differs", i, k)
 			}
+		}
+	}
+}
+
+// TestMeasureFastForwardExact: every rate table, the write-back
+// hierarchical profiles included, is bit-identical with fast-forward on
+// and off, and attributes the same simulated accesses and time.
+func TestMeasureFastForwardExact(t *testing.T) {
+	words := DefaultWords
+	if testing.Short() {
+		words = 1 << 15
+	}
+	for _, m := range machine.AllProfiles() {
+		measure := func(ff memsim.FFMode) (*Table, *sim.Stats) {
+			var st sim.Stats
+			c := *m
+			c.Mem.FastForward = ff
+			c.Observe(&st)
+			return Measure(&c, words), &st
+		}
+		on, onStats := measure(memsim.FastForwardAuto)
+		off, offStats := measure(memsim.FastForwardOff)
+		if len(on.Rates) != len(off.Rates) {
+			t.Errorf("%s: %d rates with fast-forward, %d without", m.Name, len(on.Rates), len(off.Rates))
+		}
+		for k, r := range off.Rates {
+			if got, ok := on.Rates[k]; !ok || math.Float64bits(got) != math.Float64bits(r) {
+				t.Errorf("%s %s: fast-forward %v (present %v), exact %v", m.Name, k, got, ok, r)
+			}
+		}
+		if onStats.Accesses() != offStats.Accesses() || onStats.SimTime() != offStats.SimTime() {
+			t.Errorf("%s: attribution differs: fast-forward %d accesses / %v, exact %d / %v",
+				m.Name, onStats.Accesses(), onStats.SimTime(), offStats.Accesses(), offStats.SimTime())
 		}
 	}
 }

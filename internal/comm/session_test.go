@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ctcomm/internal/machine"
+	"ctcomm/internal/memsim"
 	"ctcomm/internal/pattern"
 )
 
@@ -19,7 +20,10 @@ func sansProvenance(r Result) Result {
 // TestSessionBitIdentical is the comm-level half of the analytic sweep
 // contract: Session.Run must reproduce Run EXACTLY — every stage rate,
 // every elapsed time, bit for bit — across machines, styles, patterns,
-// word counts (law-covered and fallback), congestion and duplex.
+// word counts (law-covered and fallback), congestion and duplex. The
+// hierarchical profiles are write-back: their laws (for example the
+// cluster's contiguous copy, period 4096 words, and the strided shapes
+// of both) cover 2^17 and 2^17+37 words.
 func TestSessionBitIdentical(t *testing.T) {
 	pats := []pattern.Spec{pattern.Contig(), pattern.Strided(64), pattern.Indexed()}
 	words := []int{1024, 4096, 1 << 17, 1<<17 + 37}
@@ -27,12 +31,16 @@ func TestSessionBitIdentical(t *testing.T) {
 		words = []int{4096, 1 << 17}
 	}
 	sess := NewSession()
-	sawAnalytic := false
-	for _, m := range machine.Profiles() {
+	sawAnalytic := map[string]bool{}
+	for _, m := range machine.AllProfiles() {
+		mWords := words
+		if m.Mem.Policy == memsim.WriteBack {
+			mWords = []int{1 << 17, 1<<17 + 37}
+		}
 		for _, x := range pats {
 			for _, y := range pats {
 				for _, style := range []Style{BufferPacking, Chained, Direct, PVM} {
-					for _, w := range words {
+					for _, w := range mWords {
 						for _, duplex := range []bool{false, true} {
 							opt := Options{Words: w, Duplex: duplex}
 							ref, refErr := Run(m, style, x, y, opt)
@@ -50,7 +58,7 @@ func TestSessionBitIdentical(t *testing.T) {
 								continue
 							}
 							if got.AnalyticStages > 0 {
-								sawAnalytic = true
+								sawAnalytic[m.Name] = true
 							}
 							if !reflect.DeepEqual(sansProvenance(got), sansProvenance(ref)) {
 								t.Errorf("%s %s %vQ%v w=%d duplex=%v:\nsession %+v\nengine  %+v",
@@ -62,8 +70,10 @@ func TestSessionBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if !sawAnalytic {
-		t.Error("no cell took the analytic path; the session never engaged its laws")
+	for _, m := range machine.AllProfiles() {
+		if !sawAnalytic[m.Name] {
+			t.Errorf("%s: no cell took the analytic path; the session never engaged its laws", m.Name)
+		}
 	}
 	// Congestion only scales the network stage; the memoized mem stages
 	// must still agree with the engine at a non-default factor.

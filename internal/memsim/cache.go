@@ -4,21 +4,25 @@ import "math/bits"
 
 // cache is a set-associative, LRU, word-addressed tag store. Only tags
 // are tracked — the simulator needs hit/miss decisions and evictions,
-// never data. With the write-around and write-through policies of the
-// two modeled machines there are no dirty write-backs, so evictions are
-// free; the structure still records them for diagnostics.
+// never data. Under the write-around and write-through policies of the
+// paper's two machines evictions are free; under the write-back policy
+// of the hierarchical profiles a dirty victim is written back to DRAM
+// (Memory.load and Memory.store), so which line is evicted shapes the
+// timing.
 type cache struct {
 	lineBytes int
 	lineShift uint  // log2(lineBytes); LineBytes is validated a power of two
 	setMask   int64 // sets-1 when sets is a power of two, else -1
 	sets      int
 	ways      int
-	// tags[set][way] holds the line number (addr/lineBytes); lru[set][way]
-	// holds a per-set monotonically increasing use stamp; dirty marks
-	// lines modified under a write-back policy.
-	tags  [][]int64
-	lru   [][]int64
-	dirty [][]bool
+	// Way w of set s is entry s*ways+w of three flat arrays: tags holds
+	// the line number (addr/lineBytes) or -1, lru a monotonically
+	// increasing use stamp, and dirty marks lines modified under a
+	// write-back policy. Flat arrays keep a fresh cache to three
+	// allocations.
+	tags  []int64
+	lru   []int64
+	dirty []bool
 	stamp int64
 
 	hits      int64
@@ -35,20 +39,15 @@ func newCache(cfg *Config) *cache {
 		setMask:   -1,
 		sets:      sets,
 		ways:      cfg.Ways,
-		tags:      make([][]int64, sets),
-		lru:       make([][]int64, sets),
+		tags:      make([]int64, lines),
+		lru:       make([]int64, lines),
+		dirty:     make([]bool, lines),
 	}
 	if sets&(sets-1) == 0 {
 		c.setMask = int64(sets - 1)
 	}
-	c.dirty = make([][]bool, sets)
-	for s := range c.tags {
-		c.tags[s] = make([]int64, cfg.Ways)
-		c.lru[s] = make([]int64, cfg.Ways)
-		c.dirty[s] = make([]bool, cfg.Ways)
-		for w := range c.tags[s] {
-			c.tags[s][w] = -1
-		}
+	for i := range c.tags {
+		c.tags[i] = -1
 	}
 	return c
 }
@@ -57,23 +56,24 @@ func newCache(cfg *Config) *cache {
 // non-negative, so the shift equals division by lineBytes.
 func (c *cache) line(addr int64) int64 { return addr >> c.lineShift }
 
+// set returns the index of the first way of the set line maps to.
 func (c *cache) set(line int64) int {
 	if c.setMask >= 0 {
-		return int(line & c.setMask)
+		return int(line&c.setMask) * c.ways
 	}
 	s := line % int64(c.sets)
 	if s < 0 {
 		s += int64(c.sets)
 	}
-	return int(s)
+	return int(s) * c.ways
 }
 
 // lookup probes the cache without modifying LRU state.
 func (c *cache) lookup(addr int64) bool {
 	line := c.line(addr)
 	s := c.set(line)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[s][w] == line {
+	for i := s; i < s+c.ways; i++ {
+		if c.tags[i] == line {
 			return true
 		}
 	}
@@ -85,10 +85,10 @@ func (c *cache) lookup(addr int64) bool {
 func (c *cache) access(addr int64) bool {
 	line := c.line(addr)
 	s := c.set(line)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[s][w] == line {
+	for i := s; i < s+c.ways; i++ {
+		if c.tags[i] == line {
 			c.stamp++
-			c.lru[s][w] = c.stamp
+			c.lru[i] = c.stamp
 			c.hits++
 			return true
 		}
@@ -103,29 +103,29 @@ func (c *cache) access(addr int64) bool {
 func (c *cache) fill(addr int64) (evictedLine int64, evictedDirty bool) {
 	line := c.line(addr)
 	s := c.set(line)
-	victim, oldest := 0, int64(1<<62)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[s][w] == line {
+	victim, oldest := s, int64(1<<62)
+	for i := s; i < s+c.ways; i++ {
+		if c.tags[i] == line {
 			return -1, false // already present (e.g. racing prefetch)
 		}
-		if c.tags[s][w] == -1 {
-			victim, oldest = w, -1
+		if c.tags[i] == -1 {
+			victim, oldest = i, -1
 			break
 		}
-		if c.lru[s][w] < oldest {
-			victim, oldest = w, c.lru[s][w]
+		if c.lru[i] < oldest {
+			victim, oldest = i, c.lru[i]
 		}
 	}
 	evictedLine, evictedDirty = -1, false
-	if c.tags[s][victim] != -1 {
+	if c.tags[victim] != -1 {
 		c.evictions++
-		evictedLine = c.tags[s][victim]
-		evictedDirty = c.dirty[s][victim]
+		evictedLine = c.tags[victim]
+		evictedDirty = c.dirty[victim]
 	}
 	c.stamp++
-	c.tags[s][victim] = line
-	c.lru[s][victim] = c.stamp
-	c.dirty[s][victim] = false
+	c.tags[victim] = line
+	c.lru[victim] = c.stamp
+	c.dirty[victim] = false
 	return evictedLine, evictedDirty
 }
 
@@ -134,11 +134,11 @@ func (c *cache) fill(addr int64) (evictedLine int64, evictedDirty bool) {
 func (c *cache) markDirty(addr int64) bool {
 	line := c.line(addr)
 	s := c.set(line)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[s][w] == line {
-			c.dirty[s][w] = true
+	for i := s; i < s+c.ways; i++ {
+		if c.tags[i] == line {
+			c.dirty[i] = true
 			c.stamp++
-			c.lru[s][w] = c.stamp
+			c.lru[i] = c.stamp
 			return true
 		}
 	}
@@ -151,10 +151,10 @@ func (c *cache) markDirty(addr int64) bool {
 func (c *cache) invalidate(addr int64) {
 	line := c.line(addr)
 	s := c.set(line)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[s][w] == line {
-			c.tags[s][w] = -1
-			c.dirty[s][w] = false
+	for i := s; i < s+c.ways; i++ {
+		if c.tags[i] == line {
+			c.tags[i] = -1
+			c.dirty[i] = false
 			return
 		}
 	}
@@ -162,10 +162,8 @@ func (c *cache) invalidate(addr int64) {
 
 // invalidateAll empties the cache, as at a synchronization point.
 func (c *cache) invalidateAll() {
-	for s := range c.tags {
-		for w := range c.tags[s] {
-			c.tags[s][w] = -1
-			c.dirty[s][w] = false
-		}
+	for i := range c.tags {
+		c.tags[i] = -1
+		c.dirty[i] = false
 	}
 }

@@ -34,10 +34,11 @@ const (
 	// (paper §3.5.2).
 	WriteThrough
 	// WriteBack stores allocate into the cache and dirty lines are
-	// written to memory only on eviction. Neither modeled machine runs
-	// this way for communication buffers (the i860 supports it but
-	// SUNMOS selects write-through); it is provided for the design-space
-	// ablations the paper's conclusions invite.
+	// written to memory only on eviction. Neither of the paper's
+	// machines runs this way for communication buffers (the i860
+	// supports it but SUNMOS selects write-through); the hierarchical
+	// profiles do, and the design-space ablations the paper's
+	// conclusions invite use it.
 	WriteBack
 )
 

@@ -115,6 +115,10 @@ type Memory struct {
 	// the last pipelined address for 128-bit (quad) load pairing.
 	pfq         ring
 	pfqLastAddr int64
+
+	// ff is the fast-forward probe's working state, built on the first
+	// probe (ff.go).
+	ff *ffState
 }
 
 // New validates cfg and returns a fresh memory system.
@@ -294,10 +298,12 @@ func (m *Memory) runStreams(loads, stores *pattern.Stream, t int64, res *Result)
 	if stores != nil && stores.Words() > total {
 		total = stores.Words()
 	}
-	var snaps [3]ffSnap
-	nsnap := 0
-	round := 0
+	var p ffProbe
 	probing := period > 0
+	if probing {
+		p = m.newProbe(loads, stores, period)
+	}
+	round := 0
 	for {
 		okL, okS := false, false
 		if loads != nil {
@@ -311,17 +317,14 @@ func (m *Memory) runStreams(loads, stores *pattern.Stream, t int64, res *Result)
 		}
 		round++
 		if probing && round%period == 0 && round < total {
-			snaps[0], snaps[1] = snaps[1], snaps[2]
-			snaps[2] = m.ffSnapshot(t, res)
-			nsnap++
-			if nsnap >= 3 && ffRecurs(&snaps[0], &snaps[1], &snaps[2]) {
+			if m.ffSnapshot(&p, t, res) {
 				if n := int64(total-round) / int64(period); n > 0 {
-					t = m.ffJump(&snaps[1], &snaps[2], n, loads, stores, period, t, res)
+					t = m.ffJump(&p, n, t, res)
 					round += int(n) * period
 					res.FastForwarded = true
 				}
 				probing = false
-			} else if nsnap >= ffMaxProbe {
+			} else if p.taken >= ffMaxProbe {
 				probing = false
 			}
 		}

@@ -9,7 +9,8 @@ import (
 // ffVariants covers the mechanism space the fast-forward layer must be
 // exact over: blocking stores, merged posted writes, read-ahead,
 // pipelined loads, critical-word-first, write-through, page-closing
-// posted writes, and combinations.
+// posted writes, write-back with shallow and deep queues, combinations,
+// and the memory systems of the two hierarchical machine profiles.
 func ffVariants() []Config {
 	base := testConfig()
 	variant := func(name string, mut func(*Config)) Config {
@@ -35,6 +36,71 @@ func ffVariants() []Config {
 			c.WriteOpNs = 30
 			c.Ways = 2
 		}),
+		variant("wb", func(c *Config) { c.Policy = WriteBack; c.Ways = 2 }),
+		variant("wb-deep", func(c *Config) {
+			c.Policy = WriteBack
+			c.Ways = 4
+			c.ReadAhead = true
+			c.CriticalWordFirst = true
+			c.WBQEntries = 16
+			c.PFQDepth = 8
+			c.PFQOpNs = 25
+		}),
+		clusterMem(),
+		xe6Mem(),
+	}
+}
+
+// clusterMem and xe6Mem are the memory systems of machine profiles
+// "mcc" and "xe6", copied verbatim because internal/machine imports
+// this package; TestHierarchicalConfigsVerbatim keeps the copies honest.
+func clusterMem() Config {
+	return Config{
+		Name:              "mcc-mem",
+		ClockNs:           0.4,
+		CacheBytes:        32 * 1024,
+		LineBytes:         64,
+		Ways:              8,
+		Policy:            WriteBack,
+		PageBytes:         4096,
+		RowHitNs:          15,
+		RowMissNs:         45,
+		WordNs:            1.0,
+		BusOverheadNs:     10,
+		CriticalWordFirst: true,
+		ReadAhead:         true,
+		StreamHitCy:       1,
+		WBQEntries:        16,
+		PFQDepth:          8,
+		PFQOpNs:           2,
+		EngineOpNs:        5,
+		IssueLoadCy:       1,
+		IssueStoreCy:      1,
+	}
+}
+
+func xe6Mem() Config {
+	return Config{
+		Name:              "xe6-mem",
+		ClockNs:           0.435,
+		CacheBytes:        64 * 1024,
+		LineBytes:         64,
+		Ways:              2,
+		Policy:            WriteBack,
+		PageBytes:         4096,
+		RowHitNs:          12,
+		RowMissNs:         40,
+		WordNs:            0.8,
+		BusOverheadNs:     8,
+		CriticalWordFirst: true,
+		ReadAhead:         true,
+		StreamHitCy:       1,
+		WBQEntries:        8,
+		PFQDepth:          8,
+		PFQOpNs:           2,
+		EngineOpNs:        4,
+		IssueLoadCy:       1,
+		IssueStoreCy:      1,
 	}
 }
 
@@ -127,6 +193,48 @@ func TestFastForwardLoadsFirstPolicy(t *testing.T) {
 	}
 }
 
+// TestFastForwardWarmSequence runs a chain of transfers on one memory,
+// so each run starts from the cache the previous one left: lines of
+// other buffers, lines of its own buffers ahead of and behind its
+// streams, and dirty lines under write-back. Every Result must match
+// the same chain simulated word by word.
+func TestFastForwardWarmSequence(t *testing.T) {
+	type step struct {
+		load, store pattern.Spec
+		lb, sb      int64
+		policy      InterleavePolicy
+	}
+	const words = 1<<16 + 37 // at least 5 periods on every variant
+	chain := []step{
+		{pattern.Contig(), pattern.Contig(), 0, 1 << 30, InterleaveWordwise},
+		{pattern.Strided(64), pattern.Contig(), 0, 1 << 30, InterleaveWordwise},
+		{pattern.Contig(), pattern.StridedBlock(64, 2), 1 << 30, 0, InterleaveWordwise},
+		{pattern.Contig(), pattern.Contig(), 1 << 30, 0, InterleaveLoadsFirst},
+		{pattern.Strided(7), pattern.Strided(64), 1 << 20, 1 << 30, InterleaveWordwise},
+		{pattern.Contig(), pattern.Contig(), 0, 1 << 30, InterleaveWordwise},
+	}
+	for _, cfg := range ffVariants() {
+		run := func(ff FFMode) []Result {
+			c := cfg
+			c.FastForward = ff
+			m := MustNew(c)
+			var out []Result
+			for _, s := range chain {
+				ls := pattern.NewStream(s.load, s.lb, words)
+				ss := pattern.NewStream(s.store, s.sb, words).ForWrites()
+				out = append(out, sansFF(m.RunStream(ls, ss, s.policy)))
+			}
+			return out
+		}
+		on, off := run(FastForwardAuto), run(FastForwardOff)
+		for i := range chain {
+			if on[i] != off[i] {
+				t.Errorf("%s step %d: ff on %+v != off %+v", cfg.Name, i, on[i], off[i])
+			}
+		}
+	}
+}
+
 // TestFastForwardEngages guards against the optimization silently never
 // kicking in: a large contiguous run must skip most rounds (observable
 // through the probe state by construction — here we just require the
@@ -155,19 +263,33 @@ func TestFastForwardEngages(t *testing.T) {
 	if p := m.ffPlan(pattern.NewStream(pattern.Contig(), 8, 1<<16), nil); p != 0 {
 		t.Error("line-unaligned run must not be eligible")
 	}
-	// Write-back policy must not.
-	cfg := testConfig()
-	cfg.Policy = WriteBack
-	wb := MustNew(cfg)
-	if p := wb.ffPlan(loads, nil); p != 0 {
-		t.Error("write-back run must not be eligible")
+	// Write-back must plan too, with the deep queues of the
+	// hierarchical profiles.
+	for _, cfg := range []Config{clusterMem(), xe6Mem()} {
+		if p := MustNew(cfg).ffPlan(loads, nil); p == 0 {
+			t.Errorf("%s: write-back run must be eligible", cfg.Name)
+		}
 	}
 	// Explicitly disabled must not.
-	cfg = testConfig()
+	cfg := testConfig()
 	cfg.FastForward = FastForwardOff
 	offM := MustNew(cfg)
 	if p := offM.ffPlan(loads, nil); p != 0 {
 		t.Error("FastForwardOff must disable planning")
+	}
+}
+
+// TestFastForwardEngagesWriteBack requires the calibration copy 1C1 at
+// the paper's block size (2^17 words) to fast-forward on the write-back
+// memory systems of both hierarchical profiles.
+func TestFastForwardEngagesWriteBack(t *testing.T) {
+	const words = 1 << 17
+	for _, cfg := range []Config{clusterMem(), xe6Mem()} {
+		loads := pattern.NewStream(pattern.Contig(), 0, words)
+		stores := pattern.NewStream(pattern.Contig(), 1<<30, words).ForWrites()
+		if res := MustNew(cfg).RunStream(loads, stores, InterleaveWordwise); !res.FastForwarded {
+			t.Errorf("%s: 2^17-word 1C1 copy did not fast-forward", cfg.Name)
+		}
 	}
 }
 
@@ -204,18 +326,26 @@ func TestRunStreamStateCarriesOver(t *testing.T) {
 // TestRunStreamAllocFree asserts the tentpole target: zero heap
 // allocations per transfer in the contiguous and strided steady states.
 func TestRunStreamAllocFree(t *testing.T) {
-	for _, spec := range []pattern.Spec{pattern.Contig(), pattern.Strided(64), pattern.StridedBlock(64, 2)} {
-		for _, ff := range []FFMode{FastForwardAuto, FastForwardOff} {
-			cfg := testConfig()
-			cfg.FastForward = ff
-			m := MustNew(cfg)
-			loads := pattern.NewStream(spec, 0, 1<<13)
-			stores := pattern.NewStream(spec, 1<<30, 1<<13).ForWrites()
-			avg := testing.AllocsPerRun(10, func() {
-				m.RunStream(loads, stores, InterleaveWordwise)
-			})
-			if avg != 0 {
-				t.Errorf("%v ff=%v: %v allocs per RunStream, want 0", spec, ff, avg)
+	var wbDeep Config
+	for _, c := range ffVariants() {
+		if c.Name == "wb-deep" {
+			wbDeep = c
+		}
+	}
+	for _, base := range []Config{testConfig(), wbDeep} {
+		for _, spec := range []pattern.Spec{pattern.Contig(), pattern.Strided(64), pattern.StridedBlock(64, 2)} {
+			for _, ff := range []FFMode{FastForwardAuto, FastForwardOff} {
+				cfg := base
+				cfg.FastForward = ff
+				m := MustNew(cfg)
+				loads := pattern.NewStream(spec, 0, 1<<13)
+				stores := pattern.NewStream(spec, 1<<30, 1<<13).ForWrites()
+				avg := testing.AllocsPerRun(10, func() {
+					m.RunStream(loads, stores, InterleaveWordwise)
+				})
+				if avg != 0 {
+					t.Errorf("%s %v ff=%v: %v allocs per RunStream, want 0", cfg.Name, spec, ff, avg)
+				}
 			}
 		}
 	}

@@ -81,10 +81,12 @@ type QueueStats struct {
 }
 
 // CalibrationStats reports the process-wide calibration cache
-// (calibrate.CacheStats()).
+// (calibrate.CacheStats()) and the wall time its misses spent
+// measuring rate tables (calibrate.BuildTime()).
 type CalibrationStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
+	Hits    int64   `json:"hits"`
+	Misses  int64   `json:"misses"`
+	Seconds float64 `json:"seconds"`
 }
 
 // ServeStats is the `-stats`-style JSON dump of a ctserved instance.

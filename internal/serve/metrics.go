@@ -224,6 +224,9 @@ func (m *metrics) writePrometheus(w io.Writer, srv *Server) error {
 	appendf("# HELP ctserved_calibration_misses_total Calibration rate-table measurements (process-wide).\n")
 	appendf("# TYPE ctserved_calibration_misses_total counter\n")
 	appendf("ctserved_calibration_misses_total %d\n", calMisses)
+	appendf("# HELP ctserved_calibration_seconds_total Wall time spent measuring calibration rate tables (process-wide).\n")
+	appendf("# TYPE ctserved_calibration_seconds_total counter\n")
+	appendf("ctserved_calibration_seconds_total %g\n", calibrate.BuildTime().Seconds())
 
 	_, err := w.Write(b)
 	return err
@@ -291,6 +294,7 @@ func (m *metrics) snapshot(srv *Server) *runstats.ServeStats {
 		Rejected: m.rejected.Load(),
 	}
 	s.Calibration.Hits, s.Calibration.Misses = calibrate.CacheStats()
+	s.Calibration.Seconds = calibrate.BuildTime().Seconds()
 	return s
 }
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -147,6 +148,42 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(w.Body.String(), want) {
 			t.Errorf("metrics missing %q:\n%s", want, w.Body)
 		}
+	}
+}
+
+// A cold calibrated eval measures a rate table; the wall time it took
+// shows in /metrics and in /v1/stats, and the answer itself is unchanged.
+func TestCalibrationSecondsExported(t *testing.T) {
+	s := newTestServer(t, Config{})
+	body := `{"machine":"xe6","rates":"calibrated","op":"1Q64"}`
+	w := post(s, "/v1/eval", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("eval = %d %s", w.Code, w.Body)
+	}
+	want, err := query.Eval(query.EvalRequest{Machine: "xe6", Rates: "calibrated", Op: "1Q64"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got query.EvalResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Text != want.Text {
+		t.Errorf("served text differs from query text:\n--- served\n%s\n--- query\n%s", got.Text, want.Text)
+	}
+	st := s.Snapshot()
+	if st.Calibration.Misses < 1 || st.Calibration.Seconds <= 0 {
+		t.Errorf("calibration stats = %+v, want a miss and positive seconds", st.Calibration)
+	}
+	m := get(s, "/metrics").Body.String()
+	i := strings.Index(m, "\nctserved_calibration_seconds_total ")
+	if i < 0 {
+		t.Fatalf("metrics missing ctserved_calibration_seconds_total:\n%s", m)
+	}
+	line := m[i+1:]
+	line = line[:strings.IndexByte(line, '\n')]
+	if v, err := strconv.ParseFloat(strings.Fields(line)[1], 64); err != nil || v <= 0 {
+		t.Errorf("%q: want a positive number of seconds", line)
 	}
 }
 

@@ -64,7 +64,9 @@ record() {
 	fi
 	old=""
 	if [ -f "$out" ]; then
-		old="$(grep '^{' "$out" || true)"
+		# Strip each kept line's separator comma; the join below adds
+		# exactly one back.
+		old="$(grep '^{' "$out" | sed 's/,*$//' || true)"
 	fi
 	{
 		printf '[\n'
