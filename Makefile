@@ -35,25 +35,24 @@ bench-serve:
 
 # Batched-sweep benchmarks: the analytic batch path vs the
 # engine-per-cell reference in internal/sweep, plus the /v1/sweep NDJSON
-# handler (warm and cold) in internal/serve. Also emits the normalized
-# per-benchmark JSON (same shape as the checked-in BENCH_*.json
-# trajectory) under $(CIOUT)/ without touching the checked-in baseline.
+# handler (warm and cold) in internal/serve. The trajectory JSON is
+# bench-record's job.
 sweep-bench:
-	mkdir -p $(CIOUT)
-	BENCH_DIR=$(CIOUT) sh scripts/bench_record.sh
+	$(GO) test -bench 'BenchmarkSweep$$|BenchmarkSweepEngine$$' -benchmem -run '^$$' ./internal/sweep/
 	$(GO) test -bench 'BenchmarkSweep' -benchmem ./internal/serve/
 
-# Append a fresh trajectory entry per benchmark to the checked-in
-# BENCH_sweep.json / BENCH_hotpath.json (commit the result). CI's
-# bench-gate compares PRs against the latest BenchmarkSweep entry.
+# Append a fresh trajectory entry per benchmark (median, min and max
+# of 3 samples) to the checked-in BENCH_*.json files (commit the
+# result). The benchmarks and files are the table in cmd/benchtrack.
 bench-record:
-	sh scripts/bench_record.sh
+	$(GO) run ./cmd/benchtrack record
 
-# Fail if BenchmarkSweep rows/sec regressed >25% vs the checked-in
-# baseline (override: ALLOW_BENCH_REGRESSION=1, mirroring the CI
-# bench-regression-ok PR label).
+# Fail if a gated benchmark regressed past its threshold against the
+# latest checked-in entry (the gate table in cmd/benchtrack; override:
+# ALLOW_BENCH_REGRESSION=1, mirroring the CI bench-regression-ok PR
+# label).
 bench-gate:
-	sh scripts/bench_gate.sh
+	$(GO) run ./cmd/benchtrack gate
 
 experiments:
 	$(GO) run ./cmd/experiments -check -j $(J)
@@ -109,8 +108,8 @@ race:
 # race, the parallel experiment shape gate (metrics archived under
 # $(CIOUT)/), the fast-forward differential gate (stdout must be
 # byte-identical with and without -no-fast-forward), the fuzz smoke
-# pass, the one-iteration bench sweep, and the sweep-throughput
-# regression gate against the checked-in BENCH_sweep.json baseline.
+# pass, the one-iteration bench sweep, and the benchmark regression
+# gate against the checked-in BENCH_*.json baselines.
 ci: build gofmt-check test race serve-smoke router-smoke
 	mkdir -p $(CIOUT)
 	$(GO) run ./cmd/experiments -quick -check -j $(J) -stats $(CIOUT)/experiments-stats.json

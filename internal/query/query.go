@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"ctcomm/internal/calibrate"
+	"ctcomm/internal/collective"
 	"ctcomm/internal/comm"
 	"ctcomm/internal/distrib"
 	"ctcomm/internal/law"
@@ -365,6 +366,13 @@ type PlanRequest struct {
 	Transpose int `json:"transpose,omitempty"`
 }
 
+// MaxPlanElements bounds the array a plan request may describe: n for
+// a redistribution, transpose² for a transpose. distrib.Plan allocates
+// about 53 bytes per element before any pricing, so the bound caps one
+// request near 56 MiB while admitting the 65,536-element default and
+// the 1024x1024 transpose of cmd/hpfplan's usage.
+const MaxPlanElements = 1 << 20
+
 // Canon returns the request with cmd/hpfplan's flag defaults applied.
 func (r PlanRequest) Canon() PlanRequest {
 	if r.Machine == "" {
@@ -450,13 +458,22 @@ func plan(r PlanRequest, b *Batch) (PlanResponse, bool, error) {
 	if r.Transpose < 0 {
 		return PlanResponse{}, false, badf("transpose must be positive, got %d", r.Transpose)
 	}
+	if r.Transpose > MaxPlanElements/max(r.Transpose, 1) { // transpose² > MaxPlanElements, without overflow
+		return PlanResponse{}, false, badf("transpose %d exceeds the %d-element plan limit", r.Transpose, MaxPlanElements)
+	}
 	if r.Transpose == 0 {
 		if r.N <= 0 {
 			return PlanResponse{}, false, badf("array size n must be positive, got %d", r.N)
 		}
+		if r.N > MaxPlanElements {
+			return PlanResponse{}, false, badf("array size n %d exceeds the %d-element plan limit", r.N, MaxPlanElements)
+		}
 	}
 	if r.P <= 0 {
 		return PlanResponse{}, false, badf("processor count p must be positive, got %d", r.P)
+	}
+	if r.P > collective.MaxNodes {
+		return PlanResponse{}, false, badf("processor count p %d exceeds the %d-processor limit", r.P, collective.MaxNodes)
 	}
 	m, err := b.Machine(r.Machine)
 	if err != nil {

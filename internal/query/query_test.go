@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ctcomm/internal/collective"
 	"ctcomm/internal/comm"
 	"ctcomm/internal/law"
 )
@@ -150,6 +151,10 @@ func TestPlanBadRequests(t *testing.T) {
 		{Machine: "cm5"},
 		{Src: "SCATTERED"},
 		{Dst: "CYCLIC(x)"},
+		{N: MaxPlanElements + 1, P: 16},
+		{Transpose: 1025, P: 4}, // 1025² > MaxPlanElements
+		{Transpose: 1 << 40, P: 4},
+		{N: 1024, P: collective.MaxNodes + 1},
 	}
 	for _, req := range cases {
 		if _, err := Plan(req); !errors.Is(err, ErrBadRequest) {

@@ -324,7 +324,8 @@ func TestRouterBadRequests(t *testing.T) {
 
 // BenchmarkRouterMixed drives the steady-state mixed workload through
 // the router and a 2-replica fleet — the scale-out analogue of
-// BenchmarkServeMixed, priced into BENCH_serve.json.
+// BenchmarkServeMixed, recorded (not gated) in BENCH_serve.json by
+// cmd/benchtrack.
 func BenchmarkRouterMixed(b *testing.B) {
 	f := newFleet(b, 2, serve.Config{Workers: 2})
 	rt, err := New(Config{Replicas: f.urls, ProbeInterval: -1})

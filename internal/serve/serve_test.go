@@ -115,6 +115,9 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/eval", `{"exprs":"1C1"}`, http.StatusBadRequest}, // unknown field
 		{"/v1/eval", `not json`, http.StatusBadRequest},
 		{"/v1/plan", `{"n":-4,"p":8}`, http.StatusBadRequest},
+		{"/v1/plan", `{"n":1048577,"p":8}`, http.StatusBadRequest},
+		{"/v1/plan", `{"transpose":1025,"p":8}`, http.StatusBadRequest},
+		{"/v1/plan", `{"n":1024,"p":4097}`, http.StatusBadRequest},
 		{"/v1/price", `{"x":"1","y":"1","style":"mpi"}`, http.StatusBadRequest},
 		{"/v1/price", `{"x":"1","y":"1","style":"direct","words":2147483649}`, http.StatusBadRequest},
 	}

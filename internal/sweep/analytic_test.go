@@ -191,7 +191,8 @@ func benchRows(b *testing.B, spec Spec, opt Options) int {
 }
 
 // BenchmarkSweep is the headline sweep benchmark (recorded in
-// BENCH_sweep.json by `make bench-record`, gated by CI's bench-gate):
+// BENCH_sweep.json and gated at 75% of the latest rows/sec by the table
+// in cmd/benchtrack):
 // the default-cap 4096-cell grid through the batch path, fresh batch
 // per iteration so law fitting is paid inside the measurement. Compare
 // rows/sec against BenchmarkSweepEngine for the analytic speedup.

@@ -95,11 +95,12 @@ func collectiveBenchSpec(wordValues int) Spec {
 }
 
 // BenchmarkCollectiveSweep is the headline collective sweep benchmark
-// (recorded in BENCH_collective.json by `make bench-record`, gated by
-// CI's bench-gate): 32 whole-machine all-to-all comparison cells
-// across 16 word counts through the batch path, fresh batch per
-// iteration so law fitting is paid inside the measurement. Compare
-// rows/sec against BenchmarkCollectiveSweepEngine for the law speedup.
+// (recorded in BENCH_collective.json and gated at 75% of the latest
+// rows/sec by the table in cmd/benchtrack): 32 whole-machine
+// all-to-all comparison cells across 16 word counts through the batch
+// path, fresh batch per iteration so law fitting is paid inside the
+// measurement. Compare rows/sec against BenchmarkCollectiveSweepEngine
+// for the law speedup.
 func BenchmarkCollectiveSweep(b *testing.B) {
 	spec := collectiveBenchSpec(16) // 2 x 1 x 16 = 32 cells
 	rows := 0

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ctcomm/internal/collective"
 	"ctcomm/internal/query"
 )
 
@@ -232,6 +233,38 @@ func TestRunWordsBoundErrorRow(t *testing.T) {
 	}
 	if !strings.Contains(rows[1].Err, "words must be at most") || rows[1].Price != nil {
 		t.Errorf("row for 1<<60 words = %+v, want a words-bound error row", rows[1])
+	}
+}
+
+// Plan cells past query.MaxPlanElements or collective.MaxNodes are
+// error rows, never planned.
+func TestRunPlanBoundErrorRows(t *testing.T) {
+	for _, spec := range []Spec{
+		{Kind: "plan", Ns: []int{1024, query.MaxPlanElements + 1}, Ps: []int{8}},
+		{Kind: "plan", Transposes: []int{64, 1025}, Ps: []int{8}},
+		{Kind: "plan", Ns: []int{1024}, Ps: []int{8, collective.MaxNodes + 1}},
+	} {
+		cells, err := Expand(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []Row
+		st, err := Run(context.Background(), cells, Options{}, func(r Row) error {
+			rows = append(rows, r)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cells != 2 || st.Failed != 1 || len(rows) != 2 {
+			t.Fatalf("%+v: stats = %+v, want 2 cells with 1 failed", spec, st)
+		}
+		if rows[0].Err != "" || rows[0].Plan == nil {
+			t.Errorf("%+v: good row = %+v", spec, rows[0])
+		}
+		if !strings.Contains(rows[1].Err, "limit") || rows[1].Plan != nil {
+			t.Errorf("%+v: row = %+v, want a plan-bound error row", spec, rows[1])
+		}
 	}
 }
 
