@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzSweepAnalytic$$' -fuzztime 30s ./internal/sweep/
 	$(GO) test -fuzz 'FuzzCollectiveSchedule$$' -fuzztime 30s ./internal/collective/
 	$(GO) test -fuzz 'FuzzCollectiveWordsLaw$$' -fuzztime 30s ./internal/query/
+	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 30s ./internal/serve/
 
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/model/
@@ -96,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzSweepAnalytic$$' -fuzztime 10s ./internal/sweep/
 	$(GO) test -fuzz 'FuzzCollectiveSchedule$$' -fuzztime 10s ./internal/collective/
 	$(GO) test -fuzz 'FuzzCollectiveWordsLaw$$' -fuzztime 10s ./internal/query/
+	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 10s ./internal/serve/
 
 gofmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

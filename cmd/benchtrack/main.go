@@ -17,6 +17,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -56,13 +57,40 @@ const recordCount, recordBenchtime, gateRuns, perfbenchRepeat, perfbenchSeconds 
 
 // entry is one recording of one benchmark. Metrics holds per metric the
 // median, min and max of N go test samples, or perfbench's median, q1, q3.
+// Host is nil only on entries recorded before hosts were stamped.
 type entry struct {
 	Name    string                        `json:"name"`
 	Date    string                        `json:"date"`
 	Commit  string                        `json:"commit"`
 	Dirty   bool                          `json:"dirty"`
+	Host    *host                         `json:"host,omitempty"`
 	N       int                           `json:"n"`
 	Metrics map[string]map[string]float64 `json:"metrics"`
+}
+
+// host names the machine an entry was measured on, as go test's
+// benchmark header does: figures from different hosts do not compare.
+type host struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+}
+
+// runtimeHost describes the machine benchtrack itself runs on; the
+// benchmark it starts inherits the same GOMAXPROCS. The CPU name is the
+// one go test prints, read the same way (Linux only; empty elsewhere).
+func runtimeHost() *host {
+	h := &host{GOMAXPROCS: runtime.GOMAXPROCS(0), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
 }
 
 func main() {
@@ -107,19 +135,38 @@ func run(name string, args ...string) (string, error) {
 }
 
 // parseBench reads go test -bench output into one entry per benchmark,
-// in order of first appearance, stamped like st. Names lose only their
-// -GOMAXPROCS; each "value unit" pair and the iteration count is a metric.
+// in order of first appearance, stamped like st and with the host of its
+// first sample: the goos, goarch and cpu header lines above it and the
+// -GOMAXPROCS suffix of its name (none means 1). Names lose only that
+// suffix; each "value unit" pair and the iteration count is a metric.
 func parseBench(out string, st entry) []entry {
-	names, samples := []string(nil), map[string]map[string][]float64{}
-	gomaxprocs := regexp.MustCompile(`-[0-9]+$`)
+	names, samples, hosts := []string(nil), map[string]map[string][]float64{}, map[string]*host{}
+	gomaxprocs := regexp.MustCompile(`-([0-9]+)$`)
+	var hdr host
 	for _, line := range strings.Split(out, "\n") {
+		if k, v, ok := strings.Cut(line, ": "); ok {
+			switch k {
+			case "goos":
+				hdr.GOOS = v
+			case "goarch":
+				hdr.GOARCH = v
+			case "cpu":
+				hdr.CPU = v
+			}
+		}
 		f := strings.Fields(line)
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || !strings.Contains(line, " ns/op") {
 			continue
 		}
-		name := gomaxprocs.ReplaceAllString(f[0], "")
+		name, procs := f[0], 1
+		if m := gomaxprocs.FindStringSubmatchIndex(name); m != nil {
+			procs, _ = strconv.Atoi(name[m[2]:m[3]]) // the pattern matched digits only
+			name = name[:m[0]]
+		}
 		if samples[name] == nil {
-			names, samples[name] = append(names, name), map[string][]float64{}
+			h := hdr
+			h.GOMAXPROCS = procs
+			names, samples[name], hosts[name] = append(names, name), map[string][]float64{}, &h
 		}
 		for f = slices.Insert(f, 2, "iterations"); len(f) > 2; f = f[2:] { // f[1] is a value, f[2] its unit
 			if v, err := strconv.ParseFloat(f[1], 64); err == nil {
@@ -131,7 +178,7 @@ func parseBench(out string, st entry) []entry {
 	var entries []entry
 	for _, name := range names {
 		e := st
-		e.Name, e.Metrics = name, map[string]map[string]float64{}
+		e.Name, e.Host, e.Metrics = name, hosts[name], map[string]map[string]float64{}
 		for metric, xs := range samples[name] {
 			slices.Sort(xs)
 			med := (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
@@ -179,6 +226,7 @@ func recordPerfbench(dir string) error {
 	if err != nil {
 		return err
 	}
+	st.Host = runtimeHost()
 	out, err := run("bash", "perfbench/run.sh", "--repeat", strconv.Itoa(perfbenchRepeat), "--seconds", perfbenchSeconds)
 	if err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -40,7 +41,9 @@ func scriptEntries(t *testing.T) []entry {
 	}
 	var want []entry
 	for _, name := range names {
-		e := entry{Name: name, Metrics: map[string]map[string]float64{}}
+		// Every benchmark of the transcript ran under the same header.
+		h := &host{CPU: "Intel(R) Xeon(R) Processor", GOMAXPROCS: 2, GOOS: "linux", GOARCH: "amd64"}
+		e := entry{Name: name, Host: h, Metrics: map[string]map[string]float64{}}
 		for k, xs := range values[name] {
 			slices.Sort(xs)
 			e.N = len(xs)
@@ -71,13 +74,25 @@ func TestParseBench(t *testing.T) {
 			"BenchmarkD-2 \t 3\t 7 B/op",
 			"ok  \tctcomm/internal/x\t0.1s",
 		}, "\n"), []entry{
-			{Name: "BenchmarkA", N: 1, Metrics: map[string]map[string]float64{"iterations": stat(10), "ns_per_op": stat(5.5)}},
-			{Name: "BenchmarkB/size-8", N: 1, Metrics: map[string]map[string]float64{
+			{Name: "BenchmarkA", Host: &host{GOMAXPROCS: 1, GOOS: "linux"}, N: 1,
+				Metrics: map[string]map[string]float64{"iterations": stat(10), "ns_per_op": stat(5.5)}},
+			{Name: "BenchmarkB/size-8", Host: &host{GOMAXPROCS: 4, GOOS: "linux"}, N: 1, Metrics: map[string]map[string]float64{
 				"iterations": stat(3), "ns_per_op": stat(7), "rows_per_sec": stat(2)}},
 		}},
 		{"median of three", "BenchmarkA-2 1 30 ns/op\nBenchmarkA-2 1 10 ns/op\nBenchmarkA-2 1 20 ns/op\n", []entry{
-			{Name: "BenchmarkA", N: 3, Metrics: map[string]map[string]float64{
+			{Name: "BenchmarkA", Host: &host{GOMAXPROCS: 2}, N: 3, Metrics: map[string]map[string]float64{
 				"iterations": stat(1), "ns_per_op": {"median": 20, "min": 10, "max": 30}}},
+		}},
+		{"each package's header names its host", strings.Join([]string{
+			"goos: linux", "goarch: amd64", "pkg: ctcomm/a", "cpu: CPU One",
+			"BenchmarkA-8 \t 1\t 5 ns/op",
+			"goos: darwin", "goarch: arm64", "pkg: ctcomm/b", "cpu: CPU Two: rev 2",
+			"BenchmarkB \t 1\t 6 ns/op",
+		}, "\n"), []entry{
+			{Name: "BenchmarkA", Host: &host{CPU: "CPU One", GOMAXPROCS: 8, GOOS: "linux", GOARCH: "amd64"}, N: 1,
+				Metrics: map[string]map[string]float64{"iterations": stat(1), "ns_per_op": stat(5)}},
+			{Name: "BenchmarkB", Host: &host{CPU: "CPU Two: rev 2", GOMAXPROCS: 1, GOOS: "darwin", GOARCH: "arm64"}, N: 1,
+				Metrics: map[string]map[string]float64{"iterations": stat(1), "ns_per_op": stat(6)}},
 		}},
 	}
 	for _, c := range cases {
@@ -123,6 +138,15 @@ func TestParsePerfbench(t *testing.T) {
 	back, err := readEntries(filepath.Join(dir, "BENCH_perfbench.json"))
 	if err != nil || !reflect.DeepEqual(back, append(got, got...)) {
 		t.Errorf("round trip = %+v, %v", back, err)
+	}
+}
+
+// A perfbench entry is stamped with the host benchtrack runs on, which
+// the benchmark it starts shares.
+func TestRuntimeHost(t *testing.T) {
+	h := runtimeHost()
+	if h.GOMAXPROCS != runtime.GOMAXPROCS(0) || h.GOOS != runtime.GOOS || h.GOARCH != runtime.GOARCH {
+		t.Errorf("runtimeHost() = %+v", h)
 	}
 }
 

@@ -425,7 +425,7 @@ func (rt *Router) forward(ctx context.Context, fingerprint, path string, body []
 		if i > 0 {
 			rt.stats.failovers.Add(1)
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+path, strings.NewReader(string(body)))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+path, bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}

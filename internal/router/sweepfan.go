@@ -1,12 +1,12 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"ctcomm/internal/query"
 	"ctcomm/internal/sweep"
@@ -143,7 +143,7 @@ func (sr *shardReader) open(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+"/v1/cells", strings.NewReader(string(body)))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+"/v1/cells", bytes.NewReader(body))
 		if err != nil {
 			return err
 		}

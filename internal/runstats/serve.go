@@ -35,7 +35,10 @@ type EndpointStats struct {
 
 // CacheStats reports the serve result cache.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
+	Hits int64 `json:"hits"`
+	// AliasHits counts the hits answered from stored bytes by request
+	// alias, without decoding the request: a subset of Hits.
+	AliasHits int64 `json:"alias_hits"`
 	Misses    int64 `json:"misses"`
 	Collapsed int64 `json:"collapsed"` // singleflight waiters served by a leader's miss
 	Entries   int   `json:"entries"`

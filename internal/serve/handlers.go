@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ctcomm/internal/query"
@@ -108,31 +111,108 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// point answers one point endpoint of kind k: it strictly decodes a
-// POSTed request and answers it through s.do, so repeated queries are
-// cache hits keyed by the request's fingerprint. Every point response
-// Text is byte-identical to the matching ctmodel stdout.
+// point answers one point endpoint of kind k. The body is read whole
+// into a pooled buffer behind the kind's alias prefix, so a request
+// whose exact bytes already hit an entry is answered by one alias
+// lookup and one write of the stored body, with no JSON work. Any
+// other request is strictly decoded and answered through s.do, so
+// repeated queries are cache hits keyed by the request's fingerprint;
+// a hit records the request's alias and stores the encoded body. Every
+// point response Text is byte-identical to the matching ctmodel
+// stdout.
 func (s *Server) point(k *query.Kind) http.HandlerFunc {
+	prefix := k.Name + "\n"
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !requirePost(w, r) {
 			return
 		}
-		req, err := k.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer putBody(buf)
+		buf.WriteString(prefix)
+		_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		var alias []byte
+		if readErr == nil {
+			alias = buf.Bytes()
+			if e, body := s.cache.aliased(alias); e != nil {
+				if err := r.Context().Err(); err != nil {
+					s.writeError(w, err)
+					return
+				}
+				s.metrics.cacheHits.Add(1)
+				s.metrics.cacheAliasHits.Add(1)
+				s.writeHit(w, e, body)
+				return
+			}
+		}
+		// Decode what was read, then the read's own error: the decoder
+		// sees the byte stream the bounded body reader would have given it.
+		var body io.Reader = bytes.NewReader(buf.Bytes()[len(prefix):])
+		if readErr != nil {
+			body = io.MultiReader(body, errReader{readErr})
+		}
+		req, err := k.Decode(body)
 		if err != nil {
 			s.writeError(w, err)
 			return
 		}
-		val, _, err := s.do(r.Context(), req.Fingerprint(), func() (interface{}, error) {
+		val, e, err := s.do(r.Context(), req.Fingerprint(), func() (interface{}, error) {
 			val, _, err := k.Answer(req, nil)
 			return val, err
 		})
-		if err != nil {
+		switch {
+		case err != nil:
 			s.writeError(w, err)
-			return
+		case e == nil:
+			writeJSON(w, http.StatusOK, val)
+		default:
+			s.writeHit(w, e, s.cache.claim(e, alias))
 		}
-		writeJSON(w, http.StatusOK, val)
 	}
 }
+
+// writeHit answers a point hit on cache entry e with its stored body,
+// encoding and storing the body first when the entry has none yet.
+func (s *Server) writeHit(w http.ResponseWriter, e *lruEntry, body []byte) {
+	if body == nil {
+		body = s.cache.storeBody(e, encodeOK(e.val))
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // the client went away; nothing left to do
+}
+
+// encodeOK returns, in an exact-size slice, the body writeJSON writes
+// for a 200 answer v: what its json.Encoder writes is v marshaled,
+// indented, then a newline.
+func encodeOK(v interface{}) []byte {
+	compact, err := json.Marshal(v)
+	if err != nil {
+		return []byte{} // writeJSON writes nothing for a value that fails to encode
+	}
+	b := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(b)
+	_ = json.Indent(b, compact, "", "  ") // Marshal's output is valid JSON
+	b.WriteByte('\n')
+	return append(make([]byte, 0, b.Len()), b.Bytes()...)
+}
+
+// bodyPool recycles the buffers point request bodies are read into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBody returns a body buffer to the pool unless it grew past what
+// typical point requests need, so one large body does not stay pinned.
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= 64<<10 {
+		b.Reset()
+		bodyPool.Put(b)
+	}
+}
+
+// errReader returns err on every read: the tail of a replayed body
+// whose read failed.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // handleSweep answers POST /v1/sweep: a batched grid of queries,
 // sharded in chunks across the worker pool, streamed back as one

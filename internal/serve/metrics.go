@@ -52,6 +52,7 @@ type metrics struct {
 	endpoints map[string]*endpointMetrics // fixed key set, no lock needed
 
 	cacheHits      atomic.Int64
+	cacheAliasHits atomic.Int64 // the hits answered by request alias, without decoding
 	cacheMisses    atomic.Int64
 	cacheCollapsed atomic.Int64
 
@@ -145,6 +146,9 @@ func (m *metrics) writePrometheus(w io.Writer, srv *Server) error {
 	appendf("# HELP ctserved_cache_hits_total Result-cache hits.\n")
 	appendf("# TYPE ctserved_cache_hits_total counter\n")
 	appendf("ctserved_cache_hits_total %d\n", m.cacheHits.Load())
+	appendf("# HELP ctserved_cache_alias_hits_total Result-cache hits answered by request alias with stored bytes, without decoding (a subset of hits).\n")
+	appendf("# TYPE ctserved_cache_alias_hits_total counter\n")
+	appendf("ctserved_cache_alias_hits_total %d\n", m.cacheAliasHits.Load())
 	appendf("# HELP ctserved_cache_misses_total Result-cache misses (queries actually executed).\n")
 	appendf("# TYPE ctserved_cache_misses_total counter\n")
 	appendf("ctserved_cache_misses_total %d\n", m.cacheMisses.Load())
@@ -272,6 +276,7 @@ func (m *metrics) snapshot(srv *Server) *runstats.ServeStats {
 	}
 	s.Cache = runstats.CacheStats{
 		Hits:         m.cacheHits.Load(),
+		AliasHits:    m.cacheAliasHits.Load(),
 		Misses:       m.cacheMisses.Load(),
 		Collapsed:    m.cacheCollapsed.Load(),
 		Entries:      cache.len(),

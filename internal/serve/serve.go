@@ -19,7 +19,10 @@
 // Production shape:
 //
 //   - Every answer is cached in a fingerprint-keyed LRU; repeated
-//     queries are O(map lookup). Identical queries in flight collapse
+//     queries are O(map lookup). A point request that repeats the raw
+//     bytes of an earlier hit is answered from the entry's stored
+//     response bytes without decoding or encoding (see lruCache).
+//     Identical queries in flight collapse
 //     onto one execution (singleflight), so a thundering herd on a cold
 //     calibrated rate table pays for one calibration.
 //   - Execution runs on a bounded worker pool behind a bounded queue.
@@ -284,8 +287,9 @@ func (s *Server) publish(key string, c *call, val interface{}, err error) {
 }
 
 // do answers a query with caching, singleflight collapse and
-// admission control. cached reports whether the answer came from the
-// cache (or an in-flight leader) rather than a fresh execution.
+// admission control. hit is the cache entry the answer came from, nil
+// when it came from an execution (this request's or an in-flight
+// leader's).
 //
 // Deadline audit (every wait escapes on the REQUEST'S OWN context, so
 // a request whose deadline expires gets its 504 immediately, never the
@@ -293,15 +297,15 @@ func (s *Server) publish(key string, c *call, val interface{}, err error) {
 // the leader's done channel, and the leader's own wait below does the
 // same. TestCollapsedWaiterHonorsOwnDeadline pins the waiter case
 // deterministically via the worker test hook.
-func (s *Server) do(ctx context.Context, key string, fn func() (interface{}, error)) (val interface{}, cached bool, err error) {
+func (s *Server) do(ctx context.Context, key string, fn func() (interface{}, error)) (val interface{}, hit *lruEntry, err error) {
 	if err := ctx.Err(); err != nil {
 		// Already past the deadline: fail now rather than returning a
 		// stale-looking success from the cache.
-		return nil, false, err
+		return nil, nil, err
 	}
-	if v, ok := s.cache.get(key); ok {
+	if e := s.cache.entry(key); e != nil {
 		s.metrics.cacheHits.Add(1)
-		return v, true, nil
+		return e.val, e, nil
 	}
 
 	s.flightMu.Lock()
@@ -313,9 +317,9 @@ func (s *Server) do(ctx context.Context, key string, fn func() (interface{}, err
 		s.metrics.cacheCollapsed.Add(1)
 		select {
 		case <-c.done:
-			return c.val, true, c.err
+			return c.val, nil, c.err
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	}
 	c := &call{done: make(chan struct{})}
@@ -335,14 +339,14 @@ func (s *Server) do(ctx context.Context, key string, fn func() (interface{}, err
 		c.err = errOverloaded
 		close(c.done)
 		s.metrics.rejected.Add(1)
-		return nil, false, errOverloaded
+		return nil, nil, errOverloaded
 	}
 
 	select {
 	case <-c.done:
-		return c.val, false, c.err
+		return c.val, nil, c.err
 	case <-ctx.Done():
-		return nil, false, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 }
 
@@ -373,9 +377,9 @@ func (s *Server) submitChunk(ctx context.Context, run func()) error {
 // paths.
 func (s *Server) sweepCell(ctx context.Context, b *query.Batch, c sweep.Cell) (interface{}, bool, bool, error) {
 	key := c.Fingerprint()
-	if v, ok := s.cache.get(key); ok {
+	if e := s.cache.entry(key); e != nil {
 		s.metrics.cacheHits.Add(1)
-		return v, true, false, nil
+		return e.val, true, false, nil
 	}
 	s.flightMu.Lock()
 	if _, inFlight := s.flight[key]; inFlight {

@@ -323,7 +323,8 @@ func TestExpiredContextFailsBeforeCacheHit(t *testing.T) {
 
 // TestCacheByteCap: a burst of oversized values must never push the
 // cache past its byte budget; eviction is by recency; a single value
-// larger than the whole budget is not admitted at all.
+// larger than the whole budget is not admitted at all; stored bodies
+// and request aliases are charged like the values.
 func TestCacheByteCap(t *testing.T) {
 	const budget = 10_000
 	c := newLRUCache(1000, budget)
@@ -338,10 +339,10 @@ func TestCacheByteCap(t *testing.T) {
 		t.Errorf("entries = %d, want a handful under the byte budget", c.len())
 	}
 	// Most recent entries survive; the oldest were evicted.
-	if _, ok := c.get("cell-049"); !ok {
+	if c.entry("cell-049") == nil {
 		t.Error("most recent entry evicted")
 	}
-	if _, ok := c.get("cell-000"); ok {
+	if c.entry("cell-000") != nil {
 		t.Error("oldest entry still resident past the budget")
 	}
 
@@ -368,6 +369,44 @@ func TestCacheByteCap(t *testing.T) {
 	}
 	if c4.len() != 2 {
 		t.Errorf("entry cap ignored: %d entries", c4.len())
+	}
+
+	// A stored body and a request alias count against the budget.
+	c5 := newLRUCache(10, 100_000)
+	c5.add("k", query.EvalResponse{Text: "t"})
+	e := c5.entry("k")
+	before = c5.residentBytes()
+	body := c5.storeBody(e, encodeOK(e.val))
+	alias := []byte("eval\n{\"expr\":\"1C1\"}")
+	c5.claim(e, alias)
+	if got, want := c5.residentBytes(), before+hotOverhead+int64(len(body)+len(alias)); got != want {
+		t.Errorf("resident %d bytes with a stored body and alias, want %d", got, want)
+	}
+
+	// A stored body that pushes the cache past its budget evicts the
+	// least recently used entries; one that could never fit beside its
+	// entry is not stored.
+	c6 := newLRUCache(1000, budget)
+	for i := 0; i < 4; i++ {
+		c6.add(fmt.Sprintf("cell-%03d", i), big)
+	}
+	hot := c6.entry("cell-003")
+	c6.storeBody(hot, make([]byte, 2000))
+	if got := c6.residentBytes(); got > budget {
+		t.Errorf("stored body pushed resident %d bytes past budget %d", got, budget)
+	}
+	if c6.entry("cell-000") != nil {
+		t.Error("oldest entry survived a stored body that needed its room")
+	}
+	if c6.entry("cell-003") == nil {
+		t.Error("the hit entry was evicted for its own body")
+	}
+	c7 := newLRUCache(10, 1000)
+	c7.add("k", query.EvalResponse{Text: "t"})
+	e7 := c7.entry("k")
+	before = c7.residentBytes()
+	if c7.storeBody(e7, make([]byte, 1000)); e7.body() != nil || c7.residentBytes() != before {
+		t.Errorf("a body that cannot fit beside its entry was stored (%d bytes resident)", c7.residentBytes())
 	}
 }
 
