@@ -65,8 +65,8 @@ serve-smoke:
 
 # End-to-end smoke test of the sharded tier over real sockets: two
 # persisted ctserved replicas behind ctrouter, shard-stable cache hits,
-# replica-kill failover, and a warm cold-restart. Mirrors the CI
-# router-smoke job.
+# replica-kill failover, a warm cold-restart, and a law sweep whose laws
+# are fitted on one replica only. Mirrors the CI router-smoke job.
 router-smoke:
 	sh scripts/router_smoke.sh
 

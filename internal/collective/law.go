@@ -61,6 +61,12 @@ func gcd64(a, b int64) int64 {
 	return a
 }
 
+// WordsPeriod returns the plan's structural words period on machine m
+// (wordsPeriod of its schedule): every words law a Session fits for
+// the plan on m is keyed by the word count's residue modulo it. Zero
+// means the plan gets no law on m.
+func (p *Plan) WordsPeriod(m *machine.Machine) int64 { return wordsPeriod(m, p.Schedule) }
+
 // wordsPeriod returns the structural words period of the schedule on
 // machine m: the smallest P such that for every phase, P words grow
 // the per-flow payload by a whole number of packets and the per-flow
@@ -109,8 +115,9 @@ type probe struct {
 
 // wordsLaws is the law family of collective makespans: every
 // words-invariant Eval field must agree across the probes (sameShape),
-// and the integer makespan extrapolates exactly.
-var wordsLaws = law.Family[probe]{
+// and the integer makespan extrapolates exactly. Its fits count as
+// family "collective".
+var wordsLaws = law.Register("collective", law.Family[probe]{
 	C1:     lawWordsC1,
 	Verify: []int64{lawWordsC3, lawWordsC4},
 	Far:    lawWordsC5,
@@ -119,7 +126,7 @@ var wordsLaws = law.Family[probe]{
 		return probe{ev: p1.ev, t: p1.t + sim.Time(n)*(p2.t-p1.t)}
 	},
 	Equal: func(pred, p probe) bool { return sameShape(pred.ev, p.ev) && pred.t == p.t },
-}
+})
 
 // sameShape reports whether two evals agree on every words-invariant
 // field. A mismatch across probes means the family is not the fixed
@@ -247,7 +254,7 @@ func (s *Session) compute(pk planKey, m *machine.Machine, engine bool, words int
 	// first probe are cheaper to just evaluate. Coverage is a pure
 	// function of the cell, so the analytic provenance flag is
 	// deterministic.
-	if period := wordsPeriod(m, pl.plan.Schedule); period > 0 && wordsLaws.Reaches(period, int64(words)) {
+	if period := pl.plan.WordsPeriod(m); period > 0 && wordsLaws.Reaches(period, int64(words)) {
 		residue := int64(words) % period
 		l := s.laws.Get(sessLawKey{pk: pk, m: m, engine: engine, residue: residue}, func() *law.Law[probe] {
 			return fitWordsLaw(pl.plan, m, engine, period, residue)

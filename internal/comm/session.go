@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 	"ctcomm/internal/once"
 	"ctcomm/internal/pattern"
@@ -88,4 +89,40 @@ func (ms *machSession) compute(kind xfer.Kind, x, y pattern.Spec, words int) (xf
 	}
 	res, err := runEngine(ms.m, kind, x, y, words)
 	return res, false, err
+}
+
+// WordsPeriod returns the least common multiple of the law periods
+// (xfer.PeriodOf) of every basic transfer the style assembles for xQy
+// on m, or 0 when none of them is periodic. Two word counts equal
+// modulo it select the same residue class of every law a Session fits
+// for such a cell, whatever its congestion or duplex setting — the
+// invariant a router needs to send such cells to one replica. A period
+// past law.MaxWords, which no word count spans, also reads 0. The
+// transfers are enumerated by the assembler itself, so the period
+// cannot drift from what the sessions fit. Pure shape math; nothing is
+// simulated.
+func WordsPeriod(m *machine.Machine, style Style, x, y pattern.Spec) int64 {
+	ps := &periodSource{m: m}
+	// An error (a shape the style rejects) leaves folded in the
+	// transfers requested before it, exactly those a Session fits.
+	_, _ = RunWith(m, style, x, y, Options{Words: 1}, ps)
+	if ps.period > law.MaxWords {
+		return 0
+	}
+	return ps.period
+}
+
+// periodSource is the Source behind WordsPeriod: it answers every
+// transfer with a zero result and folds the transfer's law period into
+// the running lcm. Assembly never branches on result values, so the
+// zero results only make the assembled rates meaningless.
+type periodSource struct {
+	m      *machine.Machine
+	period int64
+}
+
+func (ps *periodSource) Transfer(kind xfer.Kind, x, y pattern.Spec, words int) (xfer.Result, bool, error) {
+	// Periods are at most 4096, so clamping keeps the lcm from overflowing.
+	ps.period = min(law.LCM(ps.period, int64(xfer.PeriodOf(ps.m, kind, x, y))), law.MaxWords+1)
+	return xfer.Result{}, false, nil
 }

@@ -18,7 +18,17 @@
 //
 // A family that fails any step gets no law and its caller evaluates
 // with the authority, so a law changes cost, never answers.
+//
+// Every Fit of a registered family is counted process-wide by family
+// and outcome (FitCounts), so a server can show how many fits its
+// traffic cost.
 package law
+
+import (
+	"sort"
+	"sync"
+	"sync/atomic"
+)
 
 // MaxWords bounds the word counts any law answers and that price and
 // collective queries accept. It keeps integer extrapolation, payload byte counts and
@@ -43,6 +53,59 @@ type Family[R any] struct {
 	Predict func(r1, r2 R, n int64) R
 	// Equal reports whether a prediction matches a probe bit for bit.
 	Equal func(pred, probe R) bool
+
+	counts *fitCounts // nil until Register
+}
+
+// fitCounts counts one registered family's fits.
+type fitCounts struct {
+	name             string
+	fitted, rejected atomic.Int64
+}
+
+// registry holds every registered family's counts.
+var registry struct {
+	mu     sync.Mutex
+	counts []*fitCounts
+}
+
+// Register enrolls f in the process-wide fit counts under name and
+// returns it. Families are package-level values registered once, at
+// initialization; a name registered twice shares one count.
+func Register[R any](name string, f Family[R]) *Family[R] {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	for _, c := range registry.counts {
+		if c.name == name {
+			f.counts = c
+			return &f
+		}
+	}
+	f.counts = &fitCounts{name: name}
+	registry.counts = append(registry.counts, f.counts)
+	return &f
+}
+
+// FitCount is one registered family's fit tally since the process
+// started: fits admitted as laws, and fits rejected by a failed probe,
+// the pair judgment or a verification mismatch.
+type FitCount struct {
+	Family   string
+	Fitted   int64
+	Rejected int64
+}
+
+// FitCounts returns every registered family's tally, sorted by family
+// name.
+func FitCounts() []FitCount {
+	registry.mu.Lock()
+	out := make([]FitCount, 0, len(registry.counts))
+	for _, c := range registry.counts {
+		out = append(out, FitCount{Family: c.name, Fitted: c.fitted.Load(), Rejected: c.rejected.Load()})
+	}
+	registry.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Family < out[j].Family })
+	return out
 }
 
 // Law is a fitted, verified law for one residue class of one family.
@@ -57,10 +120,24 @@ type Law[R any] struct {
 // the residue class mod period, and returns the verified law — or nil
 // when the residue is out of range, a probe fails, Pair rejects the fit
 // probes, or any verification probe differs from the extrapolation.
+// A registered family counts the outcome of every fit it probes for.
 func (f *Family[R]) Fit(period, residue int64, probe func(words int64) (R, bool)) *Law[R] {
 	if period <= 0 || residue < 0 || residue >= period {
 		return nil
 	}
+	l := f.fit(period, residue, probe)
+	if f.counts != nil {
+		if l != nil {
+			f.counts.fitted.Add(1)
+		} else {
+			f.counts.rejected.Add(1)
+		}
+	}
+	return l
+}
+
+// fit is Fit on a valid residue class, uncounted.
+func (f *Family[R]) fit(period, residue int64, probe func(words int64) (R, bool)) *Law[R] {
 	run := func(c int64) (R, bool) { return probe(c*period + residue) }
 	r1, ok1 := run(f.C1)
 	r2, ok2 := run(f.C1 + 1)
@@ -91,6 +168,20 @@ func (f *Family[R]) Fit(period, residue int64, probe func(words int64) (R, bool)
 // probe and at most MaxWords.
 func (f *Family[R]) Reaches(period, words int64) bool {
 	return words >= f.C1*period+words%period && words <= MaxWords
+}
+
+// LCM returns the least common multiple of two periods, the period
+// that keeps the residue of a word count modulo each; a zero period
+// (no law) leaves the other unchanged.
+func LCM(a, b int64) int64 {
+	if a == 0 || b == 0 {
+		return a + b
+	}
+	x, y := a, b
+	for y != 0 {
+		x, y = y, x%y
+	}
+	return a / x * b
 }
 
 // Covers reports whether the law may answer for words.

@@ -87,3 +87,38 @@ func TestCoverageBoundaries(t *testing.T) {
 		t.Error("Reaches must admit MaxWords and refuse MaxWords+1 and counts below the first fit probe")
 	}
 }
+
+// TestFitCounts: a registered family counts every fit it probes for,
+// by outcome; an out-of-range residue probes nothing and counts
+// nothing; an unregistered family counts nothing.
+func TestFitCounts(t *testing.T) {
+	f := Register("test-affine", affine)
+	count := func() FitCount {
+		for _, c := range FitCounts() {
+			if c.Family == "test-affine" {
+				return c
+			}
+		}
+		t.Fatal("registered family missing from FitCounts")
+		return FitCount{}
+	}
+	if c := count(); c.Fitted != 0 || c.Rejected != 0 {
+		t.Fatalf("fresh family counts %+v, want zeros", c)
+	}
+	var probed []int64
+	f.Fit(10, 3, line(&probed, -1, 0))      // fits
+	f.Fit(10, 3, line(&probed, 93, 0))      // far-probe mismatch
+	f.Fit(10, 10, line(&probed, -1, 0))     // residue out of range
+	affine.Fit(10, 3, line(&probed, -1, 0)) // unregistered
+	if c := count(); c.Fitted != 1 || c.Rejected != 1 {
+		t.Errorf("counts %+v, want 1 fitted and 1 rejected", c)
+	}
+}
+
+func TestLCM(t *testing.T) {
+	for _, c := range [][3]int64{{0, 0, 0}, {0, 512, 512}, {1024, 0, 1024}, {512, 1024, 1024}, {4096, 3072, 12288}, {7, 5, 35}} {
+		if got := LCM(c[0], c[1]); got != c[2] {
+			t.Errorf("LCM(%d, %d) = %d, want %d", c[0], c[1], got, c[2])
+		}
+	}
+}

@@ -36,27 +36,32 @@ type Kind struct {
 	// Size approximates the resident bytes of an answer's variable-size
 	// fields, for the result cache's byte bound.
 	Size func(resp any) int64
+	// Home keys a request for routing: requests with equal home keys
+	// need the same session laws, so a router that shards by it fits
+	// each law on one replica (home.go). Kinds without laws use the
+	// fingerprint.
+	Home func(req Request) string
 }
 
 // kinds is the registry, in endpoint order.
 var kinds = []*Kind{
-	register("eval", eval, evalSize),
-	register("price", price, priceSize),
-	register("plan", plan, planSize),
-	register("collective", collectiveQ, collectiveSize),
-	register("fit", fit, fitSize),
+	register("eval", eval, evalSize, nil),
+	register("price", price, priceSize, priceHome),
+	register("plan", plan, planSize, nil),
+	register("collective", collectiveQ, collectiveSize, collectiveHome),
+	register("fit", fit, fitSize, nil),
 }
 
 // byType maps each kind's request pointer type and answer type to its
 // entry.
 var byType = map[reflect.Type]*Kind{}
 
-// register builds one registry entry from a kind's answer function and
-// size estimate.
+// register builds one registry entry from a kind's answer function,
+// size estimate and home key (nil: the fingerprint).
 func register[Req any, P interface {
 	*Req
 	Request
-}, Resp any](name string, answer func(Req, *Batch) (Resp, bool, error), size func(Resp) int64) *Kind {
+}, Resp any](name string, answer func(Req, *Batch) (Resp, bool, error), size func(Resp) int64, home func(Req) string) *Kind {
 	k := &Kind{
 		Name: name,
 		Decode: func(r io.Reader) (Request, error) {
@@ -76,6 +81,10 @@ func register[Req any, P interface {
 			return resp, err
 		},
 		Size: func(resp any) int64 { return size(resp.(Resp)) },
+		Home: func(req Request) string { return req.Fingerprint() },
+	}
+	if home != nil {
+		k.Home = func(req Request) string { return home(*req.(P)) }
 	}
 	byType[reflect.TypeFor[P]()] = k
 	byType[reflect.TypeFor[Resp]()] = k

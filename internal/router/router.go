@@ -1,10 +1,18 @@
 // Package router is the scale-out gateway in front of a fleet of
-// ctserved replicas. It computes the same canonical fingerprints the
-// query core uses as cache keys and consistent-hashes them across the
-// fleet, so every distinct query has one home replica: each replica's
-// cache (and persistent snapshot) holds a disjoint shard of the
-// keyspace instead of N copies of the hot set, multiplying the fleet's
-// effective cache capacity by its size.
+// ctserved replicas. It computes each request's home key — the
+// routing key the query.Kind table defines (Kind.Home) — and
+// consistent-hashes it across the fleet, so every query has one home
+// replica. For eval, plan and fit the home key is the canonical
+// fingerprint the replicas use as a cache key, so each replica's cache
+// (and persistent snapshot) holds a disjoint shard of the keyspace
+// instead of N copies of the hot set. For price and collective it
+// names only what the batch sessions' word-count laws depend on
+// (machine, shape or collective, and the word count modulo the laws'
+// period), so all the cells of a sweep that need one law go to one
+// replica and the fleet fits each law once; a point query follows the
+// same key to the replica that cached the equal sweep cell. A shape
+// with no law keeps its fingerprint, so engine-bound work still
+// spreads.
 //
 // The determinism contract makes this safe and makes it invisible:
 // every answer is a pure function of its fingerprint, so WHICH replica
@@ -13,11 +21,13 @@
 // CLIs.
 //
 // Endpoints mirror ctserved: every query kind's /v1/<kind> endpoint is
-// proxied whole to the fingerprint's home replica (with failover to
-// ring successors on transport errors); /v1/sweep is expanded locally,
-// fanned out by cell fingerprint via each replica's /v1/cells, and
+// proxied whole to the home key's replica (with failover to ring
+// successors on transport errors); /v1/sweep is expanded locally,
+// fanned out by cell home key via each replica's /v1/cells, and
 // re-merged into one NDJSON stream in global cell order. /healthz and
-// /v1/stats describe the router and its view of the fleet.
+// /v1/stats describe the router and its view of the fleet, with the
+// point queries and sweep cells each replica was sent, so skew from
+// home-key sharding is visible.
 //
 // Replica health: a background loop probes GET /healthz (JSON form) on
 // every replica. A replica is routable when its probe succeeds and it
@@ -33,7 +43,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
@@ -107,6 +116,9 @@ type replica struct {
 	// succeeds); guarded by lastMu.
 	lastMu sync.Mutex
 	last   serve.Health
+
+	proxied atomic.Int64 // point queries this replica answered
+	cells   atomic.Int64 // sweep cells whose home this replica was
 }
 
 func (r *replica) routable() bool {
@@ -119,6 +131,17 @@ type ringPoint struct {
 	idx  int // index into Router.replicas
 }
 
+// ring is the virtual-node ring of the routable replicas, sorted by
+// hash, with each point's ring walk precomputed: walks[i] lists the
+// distinct replicas met from point i on, home first. Lookups share
+// these slices read-only, so a lookup allocates nothing; the walks
+// hold vnodes × replicas² pointers (16K for 16 replicas at 64 vnodes).
+type ring struct {
+	points []ringPoint
+	walks  [][]*replica
+	member []bool // by replica index: on the ring
+}
+
 // Router is the gateway. Create with New, mount Handler, Close to stop
 // the probe loop.
 type Router struct {
@@ -126,10 +149,9 @@ type Router struct {
 	mux      *http.ServeMux
 	replicas []*replica
 
-	// ring holds the virtual nodes of all ROUTABLE replicas, sorted by
-	// hash; rebuilt whenever a replica's routability changes.
-	ringMu sync.RWMutex
-	ring   []ringPoint
+	// ring holds the virtual nodes of all ROUTABLE replicas; rebuilt
+	// whenever a replica's routability changes.
+	ring atomic.Pointer[ring]
 
 	stats routerMetrics
 
@@ -217,59 +239,81 @@ func (rt *Router) routes() {
 
 // --- Consistent hashing ------------------------------------------------
 
-// fingerprintHash positions a fingerprint (or virtual node) on the ring.
+// FNV-1a, 64-bit (hash/fnv's New64a), computed inline so hashing a
+// key allocates nothing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fingerprintHash positions a home key (or virtual node) on the ring.
 func fingerprintHash(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, s)
-	return h.Sum64()
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // rebuildRing recomputes the virtual-node ring from routable replicas.
 func (rt *Router) rebuildRing() {
-	var ring []ringPoint
+	r := &ring{member: make([]bool, len(rt.replicas))}
+	routable := 0
 	for idx, rep := range rt.replicas {
 		if !rep.routable() {
 			continue
 		}
+		r.member[idx] = true
+		routable++
 		for v := 0; v < rt.cfg.VNodes; v++ {
-			ring = append(ring, ringPoint{fingerprintHash(fmt.Sprintf("%s#%d", rep.name, v)), idx})
+			r.points = append(r.points, ringPoint{fingerprintHash(fmt.Sprintf("%s#%d", rep.name, v)), idx})
 		}
 	}
-	sort.Slice(ring, func(i, j int) bool { return ring[i].hash < ring[j].hash })
-	rt.ringMu.Lock()
-	rt.ring = ring
-	rt.ringMu.Unlock()
+	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	r.walks = make([][]*replica, len(r.points))
+	for i := range r.points {
+		seen := make([]bool, len(rt.replicas))
+		for j := 0; len(r.walks[i]) < routable; j++ {
+			p := r.points[(i+j)%len(r.points)]
+			if !seen[p.idx] {
+				seen[p.idx] = true
+				r.walks[i] = append(r.walks[i], rt.replicas[p.idx])
+			}
+		}
+	}
+	rt.ring.Store(r)
 }
 
-// pick returns the distinct routable replicas for a fingerprint in ring
-// order: the home replica first, then its failover successors.
-func (rt *Router) pick(fingerprint string) []*replica {
-	h := fingerprintHash(fingerprint)
-	rt.ringMu.RLock()
-	ring := rt.ring
-	rt.ringMu.RUnlock()
-	if len(ring) == 0 {
+// pick returns the distinct routable replicas for a home key in ring
+// order: the home replica first, then its failover successors. The
+// slice is shared; callers must not modify it.
+func (rt *Router) pick(key string) []*replica {
+	h := fingerprintHash(key)
+	r := rt.ring.Load()
+	if len(r.points) == 0 {
 		return nil
 	}
-	start := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
-	var out []*replica
-	seen := map[int]bool{}
-	for i := 0; i < len(ring) && len(seen) < len(rt.replicas); i++ {
-		p := ring[(start+i)%len(ring)]
-		if !seen[p.idx] {
-			seen[p.idx] = true
-			out = append(out, rt.replicas[p.idx])
+	// The first point at or past h, wrapping to 0 past the last.
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.points[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return out
+	return r.walks[lo%len(r.points)]
 }
 
-// Home returns the name of the replica that currently owns the
-// fingerprint's keyspace position, or "" when no replica is routable.
-// It exists for shard introspection: capacity planning and the load
-// test use it to reason about how a workload spreads over the ring.
-func (rt *Router) Home(fingerprint string) string {
-	if reps := rt.pick(fingerprint); len(reps) > 0 {
+// Home returns the name of the replica that currently owns a home key
+// (query.Kind.Home; for eval, plan and fit, the fingerprint), or ""
+// when no replica is routable. It exists for shard introspection:
+// capacity planning and the load test use it to reason about how a
+// workload spreads over the ring.
+func (rt *Router) Home(key string) string {
+	if reps := rt.pick(key); len(reps) > 0 {
 		return reps[0].name
 	}
 	return ""
@@ -368,8 +412,8 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = enc.Encode(v)
 }
 
-// handlePoint proxies one point query to its fingerprint's home
-// replica, failing over to ring successors on transport errors. The
+// handlePoint proxies one point query to its home key's replica,
+// failing over to ring successors on transport errors. The
 // replica's response — status, content type and body — passes through
 // verbatim, preserving byte identity with a direct ctserved query.
 func (rt *Router) handlePoint(k *query.Kind) http.HandlerFunc {
@@ -384,7 +428,7 @@ func (rt *Router) handlePoint(k *query.Kind) http.HandlerFunc {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("reading body: %v", err)})
 			return
 		}
-		// Decode only to compute the fingerprint; the ORIGINAL bytes are
+		// Decode only to compute the home key; the ORIGINAL bytes are
 		// forwarded, so the replica applies its own strict validation and
 		// the router cannot skew a request in transit.
 		req, err := k.Decode(bytes.NewReader(body))
@@ -394,7 +438,7 @@ func (rt *Router) handlePoint(k *query.Kind) http.HandlerFunc {
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 		defer cancel()
-		resp, err := rt.forward(ctx, req.Fingerprint(), "/v1/"+k.Name, body)
+		resp, rep, err := rt.forward(ctx, k.Home(req), "/v1/"+k.Name, body)
 		if err != nil {
 			rt.stats.rejected.Add(1)
 			writeJSON(w, http.StatusBadGateway, errorBody{Error: err.Error()})
@@ -409,16 +453,18 @@ func (rt *Router) handlePoint(k *query.Kind) http.HandlerFunc {
 		w.WriteHeader(resp.StatusCode)
 		_, _ = io.Copy(w, resp.Body)
 		rt.stats.proxied.Add(1)
+		rep.proxied.Add(1)
 	}
 }
 
-// forward posts body to path on the fingerprint's home replica, then on
-// each ring successor after a transport failure. HTTP-level errors
-// (4xx/5xx) are NOT failed over: they are the home replica's answer.
-func (rt *Router) forward(ctx context.Context, fingerprint, path string, body []byte) (*http.Response, error) {
-	cands := rt.pick(fingerprint)
+// forward posts body to path on the home key's replica, then on each
+// ring successor after a transport failure, and returns the response
+// with the replica that gave it. HTTP-level errors (4xx/5xx) are NOT
+// failed over: they are the home replica's answer.
+func (rt *Router) forward(ctx context.Context, key, path string, body []byte) (*http.Response, *replica, error) {
+	cands := rt.pick(key)
 	if len(cands) == 0 {
-		return nil, errors.New("router: no routable replicas")
+		return nil, nil, errors.New("router: no routable replicas")
 	}
 	var lastErr error
 	for i, rep := range cands {
@@ -427,34 +473,42 @@ func (rt *Router) forward(ctx context.Context, fingerprint, path string, body []
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+path, bytes.NewReader(body))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := rt.cfg.Client.Do(req)
 		if err == nil {
-			return resp, nil
+			return resp, rep, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 		rt.markDown(rep)
 	}
-	return nil, fmt.Errorf("router: all %d replicas failed, last: %v", len(cands), lastErr)
+	return nil, nil, fmt.Errorf("router: all %d replicas failed, last: %v", len(cands), lastErr)
 }
 
 // --- Router observability ----------------------------------------------
 
 // ReplicaHealth is the router's view of one backend.
 type ReplicaHealth struct {
-	Name     string `json:"name"`
-	URL      string `json:"url,omitempty"` // omitted when the name IS the URL
-	Routable bool   `json:"routable"`
-	Healthy  bool   `json:"healthy"`
-	Draining bool   `json:"draining"`
+	Name string `json:"name"`
+	URL  string `json:"url,omitempty"` // omitted when the name IS the URL
+	// Routable reports that the replica is on the ring, so traffic
+	// reaches it; it follows Healthy and Draining once the ring is
+	// rebuilt.
+	Routable bool `json:"routable"`
+	Healthy  bool `json:"healthy"`
+	Draining bool `json:"draining"`
 	// Cache/warm figures echo the replica's last JSON health body.
 	CacheEntries int   `json:"cache_entries"`
 	WarmLoaded   int64 `json:"warm_loaded"`
+	// Proxied counts the point queries this replica answered and Cells
+	// the sweep cells whose home it was; over all replicas they sum to
+	// the router's Proxied and Cells.
+	Proxied int64 `json:"proxied"`
+	Cells   int64 `json:"cells"`
 }
 
 // Stats is the /v1/stats body: the router's own counters plus its
@@ -481,7 +535,8 @@ func (rt *Router) Snapshot() Stats {
 		Ejections: rt.stats.ejections.Load(),
 		Rejected:  rt.stats.rejected.Load(),
 	}
-	for _, rep := range rt.replicas {
+	onRing := rt.ring.Load().member
+	for i, rep := range rt.replicas {
 		rep.lastMu.Lock()
 		last := rep.last
 		rep.lastMu.Unlock()
@@ -493,11 +548,13 @@ func (rt *Router) Snapshot() Stats {
 				}
 				return ""
 			}(),
-			Routable:     rep.routable(),
+			Routable:     onRing[i],
 			Healthy:      rep.healthy.Load(),
 			Draining:     rep.draining.Load(),
 			CacheEntries: last.CacheEntries,
 			WarmLoaded:   last.WarmLoaded,
+			Proxied:      rep.proxied.Load(),
+			Cells:        rep.cells.Load(),
 		})
 	}
 	return s

@@ -14,8 +14,9 @@ import (
 
 // handleSweep fans one sweep out across the fleet: the grid expands
 // locally (so validation and cell order are the router's, identical to
-// a single replica's), each cell routes to its fingerprint's home
-// replica, shards ship as explicit /v1/cells requests, and the shard
+// a single replica's), each cell routes to its home key's replica (so
+// the cells that need one word-count law share one replica's batch),
+// shards ship as explicit /v1/cells requests, and the shard
 // streams re-merge into one NDJSON stream in global cell order — byte
 // for byte what a single ctserved would have streamed, because each
 // row is the same pure function of its cell and the encoder is the
@@ -46,26 +47,28 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Shard by home replica. Failover candidates are computed per shard
 	// from the FIRST cell's ring walk: all cells in a shard share a home
 	// by construction, and successor order only matters on failure.
-	shards := map[string]*shardReader{}
+	shards := map[*replica]*shardReader{}
 	order := make([]*shardReader, len(cells)) // global index -> owning shard
 	for i := range cells {
-		cands := rt.pick(cells[i].Fingerprint())
+		cands := rt.pick(cells[i].Home())
 		if len(cands) == 0 {
 			rt.stats.rejected.Add(1)
 			writeJSON(w, http.StatusBadGateway, errorBody{Error: "router: no routable replicas"})
 			return
 		}
-		home := cands[0].name
-		sr, ok := shards[home]
+		sr, ok := shards[cands[0]]
 		if !ok {
 			sr = &shardReader{rt: rt, cands: cands}
-			shards[home] = sr
+			shards[cands[0]] = sr
 		}
 		sr.cells = append(sr.cells, cells[i])
 		order[i] = sr
 	}
 	rt.stats.sweeps.Add(1)
 	rt.stats.cells.Add(int64(len(cells)))
+	for home, sr := range shards {
+		home.cells.Add(int64(len(sr.cells)))
+	}
 
 	// Open every shard stream up front so all replicas compute in
 	// parallel while the merge drains them in global order.

@@ -92,6 +92,13 @@ type CalibrationStats struct {
 	Seconds float64 `json:"seconds"`
 }
 
+// LawFitStats counts one law family's fits process-wide
+// (law.FitCounts): laws admitted, and fits rejected.
+type LawFitStats struct {
+	Fitted   int64 `json:"fitted"`
+	Rejected int64 `json:"rejected"`
+}
+
 // ServeStats is the `-stats`-style JSON dump of a ctserved instance.
 type ServeStats struct {
 	UptimeMs    float64                  `json:"uptime_ms"`
@@ -102,6 +109,9 @@ type ServeStats struct {
 	Queue       QueueStats               `json:"queue"`
 	Persist     *PersistStats            `json:"persist,omitempty"`
 	Calibration CalibrationStats         `json:"calibration"`
+	// LawFits maps each law family ("transfer", "collective") to its
+	// fit counts.
+	LawFits map[string]LawFitStats `json:"law_fits"`
 }
 
 // WriteJSON emits the stats as indented JSON with a trailing newline.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ctcomm/internal/calibrate"
+	"ctcomm/internal/law"
 	"ctcomm/internal/runstats"
 )
 
@@ -232,6 +233,13 @@ func (m *metrics) writePrometheus(w io.Writer, srv *Server) error {
 	appendf("# TYPE ctserved_calibration_seconds_total counter\n")
 	appendf("ctserved_calibration_seconds_total %g\n", calibrate.BuildTime().Seconds())
 
+	appendf("# HELP ctserved_law_fits_total Word-count law fits by law family and outcome (process-wide).\n")
+	appendf("# TYPE ctserved_law_fits_total counter\n")
+	for _, c := range law.FitCounts() {
+		appendf("ctserved_law_fits_total{family=%q,outcome=\"fitted\"} %d\n", c.Family, c.Fitted)
+		appendf("ctserved_law_fits_total{family=%q,outcome=\"rejected\"} %d\n", c.Family, c.Rejected)
+	}
+
 	_, err := w.Write(b)
 	return err
 }
@@ -300,6 +308,10 @@ func (m *metrics) snapshot(srv *Server) *runstats.ServeStats {
 	}
 	s.Calibration.Hits, s.Calibration.Misses = calibrate.CacheStats()
 	s.Calibration.Seconds = calibrate.BuildTime().Seconds()
+	s.LawFits = map[string]runstats.LawFitStats{}
+	for _, c := range law.FitCounts() {
+		s.LawFits[c.Family] = runstats.LawFitStats{Fitted: c.Fitted, Rejected: c.Rejected}
+	}
 	return s
 }
 

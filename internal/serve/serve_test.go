@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ctcomm/internal/query"
+	"ctcomm/internal/runstats"
 )
 
 // newTestServer returns a started server and a cleanup-registered Close.
@@ -187,6 +188,37 @@ func TestCalibrationSecondsExported(t *testing.T) {
 	line = line[:strings.IndexByte(line, '\n')]
 	if v, err := strconv.ParseFloat(strings.Fields(line)[1], 64); err != nil || v <= 0 {
 		t.Errorf("%q: want a positive number of seconds", line)
+	}
+}
+
+// A words-axis sweep fits laws; /metrics and /v1/stats report the
+// process-wide fit counts by family and outcome, and agree.
+func TestLawFitsExported(t *testing.T) {
+	s := newTestServer(t, Config{})
+	before := s.Snapshot().LawFits
+	spec := `{"kind":"price","machines":["t3d"],"ops":["1Q64"],"styles":["chained"],"words":[32768,36864,40960]}`
+	if w := post(s, "/v1/sweep", spec); w.Code != http.StatusOK {
+		t.Fatalf("sweep = %d %s", w.Code, w.Body)
+	}
+	var st struct {
+		LawFits map[string]runstats.LawFitStats `json:"law_fits"`
+	}
+	if err := json.Unmarshal(get(s, "/v1/stats").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.LawFits["collective"]; !ok {
+		t.Errorf("law_fits = %+v, want both families", st.LawFits)
+	}
+	tr := st.LawFits["transfer"]
+	if tr.Fitted <= before["transfer"].Fitted {
+		t.Errorf("transfer fits %d after a law sweep, %d before; want more", tr.Fitted, before["transfer"].Fitted)
+	}
+	m := get(s, "/metrics").Body.String()
+	for outcome, n := range map[string]int64{"fitted": tr.Fitted, "rejected": tr.Rejected} {
+		line := fmt.Sprintf("\nctserved_law_fits_total{family=\"transfer\",outcome=%q} %d\n", outcome, n)
+		if !strings.Contains(m, line) {
+			t.Errorf("metrics missing %q", line[1:])
+		}
 	}
 }
 

@@ -145,6 +145,16 @@ func (c Cell) Fingerprint() string {
 	return "sweep|empty"
 }
 
+// Home is the cell's routing key — its kind's home key (query.Kind),
+// identical to the equivalent point query's, so a router sends both to
+// the replica that fits the cell's laws and caches its answer.
+func (c Cell) Home() string {
+	if req, n := c.request(); n > 0 {
+		return query.KindOf(req).Home(req)
+	}
+	return c.Fingerprint()
+}
+
 // Exec answers the cell through the query core as an independent point
 // query — the reference evaluation the batch path must reproduce byte
 // for byte.

@@ -94,8 +94,8 @@ const (
 // memLaws is the law family of memory-system halves: results are
 // memsim.Results, extrapolated in integer femtoseconds and compared
 // bitwise; the far probe is waived when both fit probes carry the
-// fast-forward certificate.
-var memLaws = law.Family[memsim.Result]{
+// fast-forward certificate. Its fits count as family "transfer".
+var memLaws = law.Register("transfer", law.Family[memsim.Result]{
 	C1:     lawC1,
 	Verify: []int64{lawC3, lawC4},
 	Far:    lawC5,
@@ -104,7 +104,7 @@ var memLaws = law.Family[memsim.Result]{
 	},
 	Predict: memsim.PredictLinear,
 	Equal:   func(pred, probe memsim.Result) bool { return pred == probe },
-}
+})
 
 // constRunner replays one precomputed memory-half result through the
 // post-math of a transfer. It ignores its stream arguments by design:

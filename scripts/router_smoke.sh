@@ -12,7 +12,10 @@
 #      (transparent failover to the ring successor);
 #   4. restarting the dead replica against its persist dir brings it
 #      back routable with its cache warm: replaying the whole workload
-#      causes (almost) no recomputation — >= 90% warm answers.
+#      causes (almost) no recomputation — >= 90% warm answers;
+#   5. a one-residue words-axis price sweep goes to one replica by its
+#      home key, so ctserved_law_fits_total{outcome="fitted"} rises on
+#      exactly one of the two replicas.
 set -eu
 
 GO=${GO:-go}
@@ -40,6 +43,13 @@ wait_addr() {
 # metric <base> <name> -> value (0 when absent)
 metric() {
     curl -fsS "$1/metrics" | sed -n "s/^$2 \([0-9]*\)$/\1/p" | grep . || echo 0
+}
+
+# fitted <base> -> laws fitted, summed over law families
+fitted() {
+    curl -fsS "$1/metrics" \
+        | sed -n 's/^ctserved_law_fits_total{family="[a-z]*",outcome="fitted"} \([0-9]*\)$/\1/p' \
+        | awk '{ n += $1 } END { print n + 0 }'
 }
 
 "$OUT/ctserved" -addr 127.0.0.1:0 -persist "$OUT/pa" -persist-flush 50ms >"$OUT/a.log" 2>&1 &
@@ -128,6 +138,20 @@ COLD=$((M1 - M0))
 [ "$COLD" -le 2 ] || fail "replay recomputed $COLD of 20 answers, want <= 2 (>= 90% warm)"
 echo "router-smoke: restart warm-loaded $WARM entries; replay recomputed $COLD/20"
 
+# 5. Law-affine routing: every word count of this sweep is congruent
+# modulo t3d's law periods, so all eight cells share one home replica,
+# which fits the laws once; the other replica fits nothing.
+FA0=$(fitted "http://$ADDR_A")
+FB0=$(fitted "http://$ADDR_B")
+LAWSWEEP='{"kind":"price","machines":["t3d"],"ops":["1Q64"],"styles":["chained"],"words":[32768,36864,40960,45056,49152,53248,57344,61440]}'
+S5=$(curl -fsS -X POST -d "$LAWSWEEP" "$BASE/v1/sweep") || fail "routed law sweep"
+echo "$S5" | grep -q '"done":true,"cells":8,' || fail "law sweep summary wrong: $(echo "$S5" | tail -n1)"
+DA=$(( $(fitted "http://$ADDR_A") - FA0 ))
+DB=$(( $(fitted "http://$ADDR_B") - FB0 ))
+{ [ "$DA" -gt 0 ] && [ "$DB" -eq 0 ]; } || { [ "$DA" -eq 0 ] && [ "$DB" -gt 0 ]; } \
+    || fail "law fits rose by $DA and $DB on the two replicas, want exactly one rising"
+echo "router-smoke: law sweep fitted $((DA + DB)) laws on one replica ($DA + $DB)"
+
 STATS=$(curl -fsS "$BASE/v1/stats") || fail "/v1/stats"
 echo "$STATS" | grep -q '"ejections": *[1-9]' || fail "router recorded no ejections: $STATS"
 
@@ -140,4 +164,4 @@ kill -TERM "$PID_A" "$PID_B"
 wait "$PID_A" || fail "replica A unclean exit"
 wait "$PID_B" || fail "replica B unclean exit"
 trap - EXIT
-echo "router-smoke: PASS (shard-stable hits, failover, warm restart, clean drain)"
+echo "router-smoke: PASS (shard-stable hits, failover, warm restart, law-affine sweep, clean drain)"
