@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzCollectiveSchedule$$' -fuzztime 30s ./internal/collective/
 	$(GO) test -fuzz 'FuzzCollectiveWordsLaw$$' -fuzztime 30s ./internal/query/
 	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 30s ./internal/netsim/
 
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/model/
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzCollectiveSchedule$$' -fuzztime 10s ./internal/collective/
 	$(GO) test -fuzz 'FuzzCollectiveWordsLaw$$' -fuzztime 10s ./internal/query/
 	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 10s ./internal/netsim/
 
 gofmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -51,6 +51,7 @@ var table = []row{
 	// Losing the words laws costs this sweep two orders of magnitude.
 	{"BenchmarkCollectiveSweep", "./internal/sweep/", "BENCH_collective.json", &gate{"rows_per_sec", "1x", true, 0.75}},
 	{"BenchmarkCollectiveSweepEngine", "./internal/sweep/", "BENCH_collective.json", nil},
+	{"BenchmarkBatchShift", "./internal/netsim/", "BENCH_collective.json", nil},
 }
 
 const recordCount, recordBenchtime, gateRuns, perfbenchRepeat, perfbenchSeconds = 3, "1s", 3, 3, "25"

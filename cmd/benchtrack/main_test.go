@@ -266,3 +266,30 @@ func TestRecord(t *testing.T) {
 		t.Errorf("record with a silent row wrote %v", files)
 	}
 }
+
+// TestTableRowsExist keeps the table in step with the code: every row
+// names a benchmark its package defines and a trajectory file that is
+// checked in at the repository root.
+func TestTableRowsExist(t *testing.T) {
+	root := filepath.Join("..", "..")
+	for _, r := range table {
+		if _, err := os.Stat(filepath.Join(root, r.file)); err != nil {
+			t.Errorf("%s: %v", r.name, err)
+		}
+		files, err := filepath.Glob(filepath.Join(root, r.pkg, "*_test.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no test files in %s (%v)", r.name, r.pkg, err)
+		}
+		found := false
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found = found || strings.Contains(string(src), "func "+r.name+"(b *testing.B)")
+		}
+		if !found {
+			t.Errorf("%s: not defined in %s", r.name, r.pkg)
+		}
+	}
+}

@@ -28,10 +28,10 @@ package collective
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"ctcomm/internal/aapc"
 	"ctcomm/internal/machine"
+	"ctcomm/internal/once"
 )
 
 // ErrBadSpec marks malformed collective specifications (unknown
@@ -128,12 +128,10 @@ type Plan struct {
 	// side of the hyper-systolic storage/communication trade-off.
 	ReplicaBlocks int64
 
-	// congMu guards cong, the per-machine phase-congestion cache
-	// (phaseCongestion): congestion is words-invariant, so one
-	// computation per (plan, machine) serves every block size the
-	// plan is evaluated at.
-	congMu sync.Mutex
-	cong   map[*machine.Machine][]float64
+	// costs caches the plan's words-invariant costs per machine
+	// (machineCosts), so one computation per (plan, machine) serves
+	// every block size the plan is evaluated at.
+	costs once.Map[*machine.Machine, planCosts]
 }
 
 // New plans op with strategy st over nodes participants. offset is

@@ -62,11 +62,10 @@ func (p *Plan) Evaluate(m *machine.Machine, words int, engine bool) (Eval, error
 	if p.Nodes > m.Nodes() {
 		return Eval{}, badf("%s over %d nodes exceeds %s's %d nodes", p.Op, p.Nodes, m.Name, m.Nodes())
 	}
-	barrier, _, err := syncsim.Best(m, p.Nodes)
-	if err != nil {
-		return Eval{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	costs := p.machineCosts(m)
+	if costs.err != nil {
+		return Eval{}, costs.err
 	}
-	overhead := sim.Time(barrier + m.LibOverheadNs)
 	net := netsim.MustNewNetwork(m.Topo, m.Net)
 	bytesPerBlock := int64(words) * pattern.WordBytes
 
@@ -75,13 +74,12 @@ func (p *Plan) Evaluate(m *machine.Machine, words int, engine bool) (Eval, error
 		ReplicaBlocks: p.ReplicaBlocks,
 		ReplicaBytes:  p.ReplicaBlocks * bytesPerBlock,
 	}
-	congs := p.phaseCongestion(m)
 	var t sim.Time
 	for pi := range p.Schedule.Phases {
 		flows := p.Schedule.PhaseFlows(pi, bytesPerBlock)
 		ev.Messages += int64(len(flows))
 		ev.VolumeBlocks += int64(len(flows)) * p.Schedule.BlocksAt(pi)
-		cong := congs[pi]
+		cong := costs.congestion[pi]
 		if cong > ev.MaxCongestion {
 			ev.MaxCongestion = cong
 		}
@@ -106,33 +104,40 @@ func (p *Plan) Evaluate(m *machine.Machine, words int, engine bool) (Eval, error
 			// A separator only runs between phases: the collective is
 			// done when its last flow lands, so an n-phase plan pays
 			// n-1 barrier+library overheads, not n.
-			t += overhead
+			t += costs.separator
 		}
 	}
 	ev.MakespanNs = float64(t)
 	return ev, nil
 }
 
-// phaseCongestion returns the plan's per-phase congestion factors on
-// m's topology, computed once per (plan, machine) and cached on the
-// plan: CongestionOf counts flows per link, injection and ejection
-// port and never looks at flow sizes, so the factors are
-// words-invariant — the words-law probes and every word count of a
-// sweep share one computation. Safe for concurrent evaluators.
-func (p *Plan) phaseCongestion(m *machine.Machine) []float64 {
-	p.congMu.Lock()
-	defer p.congMu.Unlock()
-	if c, ok := p.cong[m]; ok {
+// planCosts are a plan's words-invariant costs on one machine.
+type planCosts struct {
+	congestion []float64 // per phase, as netsim.CongestionOf
+	separator  sim.Time  // best barrier plus library-call overhead
+	err        error     // the barrier model's rejection, if any
+}
+
+// machineCosts returns the plan's words-invariant costs on m, computed
+// once per (plan, machine) and cached on the plan: CongestionOf counts
+// flows per link, injection and ejection port and never looks at flow
+// sizes, and the separator depends on the machine and node count
+// alone, so the words-law probes and every word count of a sweep share
+// one computation. Safe for concurrent evaluators.
+func (p *Plan) machineCosts(m *machine.Machine) planCosts {
+	return p.costs.Get(m, func() planCosts {
+		barrier, _, err := syncsim.Best(m, p.Nodes)
+		if err != nil {
+			return planCosts{err: fmt.Errorf("%w: %v", ErrBadSpec, err)}
+		}
+		c := planCosts{
+			congestion: make([]float64, len(p.Schedule.Phases)),
+			separator:  sim.Time(barrier + m.LibOverheadNs),
+		}
+		for pi := range p.Schedule.Phases {
+			// Probe flows at one byte per block: congestion is size-blind.
+			c.congestion[pi] = netsim.CongestionOf(m.Topo, p.Schedule.PhaseFlows(pi, 1), m.Net.NodesPerPort)
+		}
 		return c
-	}
-	c := make([]float64, len(p.Schedule.Phases))
-	for pi := range p.Schedule.Phases {
-		// Probe flows at one byte per block: congestion is size-blind.
-		c[pi] = netsim.CongestionOf(m.Topo, p.Schedule.PhaseFlows(pi, 1), m.Net.NodesPerPort)
-	}
-	if p.cong == nil {
-		p.cong = map[*machine.Machine][]float64{}
-	}
-	p.cong[m] = c
-	return c
+	})
 }

@@ -39,15 +39,18 @@ func (s *Session) SourceFor(m *machine.Machine) Source {
 	return s.machs.Get(m, func() *machSession { return &machSession{m: m} })
 }
 
+type shapeKey struct {
+	kind xfer.Kind
+	x, y pattern.Spec
+}
+
 type lawKey struct {
-	kind    xfer.Kind
-	x, y    pattern.Spec
+	shapeKey
 	residue int
 }
 
 type memoKey struct {
-	kind  xfer.Kind
-	x, y  pattern.Spec
+	shapeKey
 	words int
 }
 
@@ -59,13 +62,14 @@ type transferred struct {
 
 // machSession implements Source for one machine.
 type machSession struct {
-	m    *machine.Machine
-	laws once.Map[lawKey, *xfer.Law] // nil: shape not law-eligible, use the engine
-	memo once.Map[memoKey, transferred]
+	m       *machine.Machine
+	periods once.Map[shapeKey, int]     // xfer.PeriodOf; 0: no law
+	laws    once.Map[lawKey, *xfer.Law] // nil: shape not law-eligible, use the engine
+	memo    once.Map[memoKey, transferred]
 }
 
 func (ms *machSession) Transfer(kind xfer.Kind, x, y pattern.Spec, words int) (xfer.Result, bool, error) {
-	t := ms.memo.Get(memoKey{kind: kind, x: x, y: y, words: words}, func() transferred {
+	t := ms.memo.Get(memoKey{shapeKey{kind, x, y}, words}, func() transferred {
 		res, analytic, err := ms.compute(kind, x, y, words)
 		return transferred{res, analytic, err}
 	})
@@ -75,9 +79,11 @@ func (ms *machSession) Transfer(kind xfer.Kind, x, y pattern.Spec, words int) (x
 // compute answers one transfer: by law when the shape admits one that
 // covers this word count, by the engine otherwise.
 func (ms *machSession) compute(kind xfer.Kind, x, y pattern.Spec, words int) (xfer.Result, bool, error) {
-	if p := xfer.PeriodOf(ms.m, kind, x, y); p > 0 {
-		k := lawKey{kind: kind, x: x, y: y, residue: words % p}
-		law := ms.laws.Get(k, func() *xfer.Law { return xfer.FitLaw(ms.m, kind, x, y, k.residue) })
+	shape := shapeKey{kind, x, y}
+	p := ms.periods.Get(shape, func() int { return xfer.PeriodOf(ms.m, kind, x, y) })
+	if p > 0 {
+		k := lawKey{shape, words % p}
+		law := ms.laws.Get(k, func() *xfer.Law { return xfer.FitLawPeriod(ms.m, kind, x, y, p, k.residue) })
 		if law != nil && law.Covers(words) {
 			res, err := law.Eval(words)
 			if err == nil {

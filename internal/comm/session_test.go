@@ -104,6 +104,18 @@ func TestSessionAnalyticProvenance(t *testing.T) {
 		t.Errorf("contig direct at 128K words: want all-analytic stages, got analytic=%d engine=%d",
 			res.AnalyticStages, res.EngineStages)
 	}
+	// One period on, every transfer falls in the residue class its law
+	// was fitted for, at the shape's own period, so no stage needs the
+	// engine.
+	p := WordsPeriod(m, Direct, pattern.Contig(), pattern.Contig())
+	res, err = sess.Run(m, Direct, pattern.Contig(), pattern.Contig(), Options{Words: 1<<17 + int(p)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p == 0 || res.AnalyticStages == 0 || res.EngineStages != 0 {
+		t.Errorf("contig direct one period (%d words) on: want all-analytic stages, got analytic=%d engine=%d",
+			p, res.AnalyticStages, res.EngineStages)
+	}
 	// 1000 words sits below every law's first fit probe (the shortest
 	// period on either machine is 256 words, probed from 16 periods), so
 	// even the contiguous sub-stages must use the engine.

@@ -22,6 +22,7 @@ func BenchmarkCongestionAllToAll(b *testing.B) {
 func BenchmarkBatchShift(b *testing.B) {
 	to, _ := NewTorus3D(4, 4, 4)
 	flows := Shift(64, 1, 64*1024)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := MustNewNetwork(to, testNetConfig())
 		n.Batch(0, flows, DataOnly)

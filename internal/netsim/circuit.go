@@ -23,10 +23,7 @@ func (n *Network) BatchCircuit(at sim.Time, flows []Flow, mode Mode) (done []sim
 			continue
 		}
 		path := n.path(f.Src, f.Dst)
-		dur := sim.Time(float64(wire)*n.nsPerByteFor(f.Src, f.Dst) + 0.5)
-		if dur < 1 {
-			dur = 1
-		}
+		dur := chunkDur(wire, n.nsPerByteFor(f.Src, f.Dst))
 		// The worm advances only when the whole path is free.
 		start := at
 		for _, r := range path {

@@ -13,24 +13,36 @@ import (
 // paper notes that for a throughput-oriented model it is irrelevant
 // whether data multiplexes per flit or per message (§4.3).
 type Network struct {
-	topo  Topology
-	cfg   Config
-	links map[int]*sim.Resource
-	inj   map[int]*sim.Resource
-	ej    map[int]*sim.Resource
+	topo Topology
+	cfg  Config
+	// links holds the link resources by link id, inj and ej the
+	// injection and ejection port resources by port number; one
+	// allocation backs all three.
+	links, inj, ej []sim.Resource
+	// Scratch reused across calls: one pair's route, the resource
+	// chains of a Batch's flows, their states and the arrival heap.
+	route    []int
+	paths    []*sim.Resource
+	flows    []flowState
+	arrivals arrivalHeap
 }
 
-// NewNetwork validates cfg and builds an idle network over topo.
+// NewNetwork validates cfg and builds an idle network over topo. Its
+// resources take memory in proportion to the topology's links and
+// ports.
 func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	links := topo.Links()
+	ports := (topo.Nodes() + cfg.NodesPerPort - 1) / cfg.NodesPerPort
+	res := make([]sim.Resource, links+2*ports)
 	return &Network{
 		topo:  topo,
 		cfg:   cfg,
-		links: make(map[int]*sim.Resource),
-		inj:   make(map[int]*sim.Resource),
-		ej:    make(map[int]*sim.Resource),
+		links: res[:links],
+		inj:   res[links : links+ports],
+		ej:    res[links+ports:],
 	}, nil
 }
 
@@ -51,29 +63,12 @@ func (n *Network) Config() Config { return n.cfg }
 
 // Reset returns all links and ports to idle.
 func (n *Network) Reset() {
-	n.links = make(map[int]*sim.Resource)
-	n.inj = make(map[int]*sim.Resource)
-	n.ej = make(map[int]*sim.Resource)
+	clear(n.links)
+	clear(n.inj)
+	clear(n.ej)
 }
 
-func (n *Network) link(id int) *sim.Resource {
-	r, ok := n.links[id]
-	if !ok {
-		r = sim.NewResource(fmt.Sprintf("link%d", id))
-		n.links[id] = r
-	}
-	return r
-}
-
-func (n *Network) port(m map[int]*sim.Resource, kind string, node int) *sim.Resource {
-	p := node / n.cfg.NodesPerPort
-	r, ok := m[p]
-	if !ok {
-		r = sim.NewResource(fmt.Sprintf("%s%d", kind, p))
-		m[p] = r
-	}
-	return r
-}
+func (n *Network) link(id int) *sim.Resource { return &n.links[id] }
 
 // nsPerByteFor converts the link bandwidth on the src->dst flow's
 // hierarchy tier to ns per wire byte. Flat configurations use the
@@ -89,17 +84,25 @@ func (n *Network) nsPerByteFor(src, dst int) float64 {
 	return 1e3 / n.cfg.Hier.Level(n.cfg.Hier.LevelOf(src, dst)).LinkMBps
 }
 
-// path returns the resource chain a message from src to dst traverses:
-// injection port, route links, ejection port.
-func (n *Network) path(src, dst int) []*sim.Resource {
-	route := n.topo.Route(src, dst)
-	rs := make([]*sim.Resource, 0, len(route)+2)
-	rs = append(rs, n.port(n.inj, "inj", src))
-	for _, l := range route {
-		rs = append(rs, n.link(l))
+// appendPath appends the resource chain a message from src to dst
+// traverses — injection port, route links, ejection port — to buf.
+func (n *Network) appendPath(buf []*sim.Resource, src, dst int) []*sim.Resource {
+	if nodes := n.topo.Nodes(); src < 0 || src >= nodes || dst < 0 || dst >= nodes {
+		panic(fmt.Sprintf("netsim: flow %d->%d names a node outside %s's %d nodes", src, dst, n.topo.Name(), nodes))
 	}
-	rs = append(rs, n.port(n.ej, "ej", dst))
-	return rs
+	n.route = n.topo.AppendRoute(n.route[:0], src, dst)
+	buf = append(buf, &n.inj[src/n.cfg.NodesPerPort])
+	for _, l := range n.route {
+		buf = append(buf, n.link(l))
+	}
+	return append(buf, &n.ej[dst/n.cfg.NodesPerPort])
+}
+
+// path returns the resource chain from src to dst in the network's
+// path buffer, valid until the next path or Batch call.
+func (n *Network) path(src, dst int) []*sim.Resource {
+	n.paths = n.appendPath(n.paths[:0], src, dst)
+	return n.paths
 }
 
 // Send pushes one message and returns its delivery time. The payload is
@@ -138,15 +141,8 @@ func (n *Network) SendStream(at sim.Time, src, dst int, payload int64, mode Mode
 	chunkBytes := int64(n.cfg.ChunkBytes)
 	perByte := n.nsPerByteFor(src, dst)
 	chunks := (wire + chunkBytes - 1) / chunkBytes
-	durOf := func(bytes int64) sim.Time {
-		d := sim.Time(float64(bytes)*perByte + 0.5)
-		if d < 1 {
-			d = 1
-		}
-		return d
-	}
-	d := durOf(chunkBytes)
-	dl := durOf(wire - (chunks-1)*chunkBytes)
+	d := chunkDur(chunkBytes, perByte)
+	dl := chunkDur(wire-(chunks-1)*chunkBytes, perByte)
 	d0 := d
 	if chunks == 1 {
 		d0 = dl
@@ -188,79 +184,62 @@ func (n *Network) SendStream(at sim.Time, src, dst int, payload int64, mode Mode
 // enters the injection port as soon as the previous one leaves it.
 // With the default small chunk size this approximates wormhole
 // pipelining while letting congestion emerge from real link contention.
+//
+// Pending chunk-hops wait by value in a min-heap ordered by (time,
+// push number), so resources see claims in one deterministic total
+// order and a chunk-hop allocates nothing; the network's scratch
+// buffers keep a warm Batch down to the returned done slice.
 func (n *Network) Batch(at sim.Time, flows []Flow, mode Mode) (done []sim.Time, makespan sim.Time) {
 	done = make([]sim.Time, len(flows))
 	makespan = at
 
-	type flowState struct {
-		path      []*sim.Resource
-		chunks    int64   // total chunks
-		lastBytes int64   // size of the final chunk
-		launched  int64   // chunks that entered hop 0
-		perByte   float64 // ns per wire byte on the flow's hierarchy tier
-	}
-	// chunk in flight: identified by flow index, chunk index, hop index.
-	type arrival struct {
-		flow, hop int
-		chunk     int64
-		t         sim.Time
-		seq       uint64
-	}
-
-	states := make([]*flowState, len(flows))
 	chunkBytes := int64(n.cfg.ChunkBytes)
+	paths := n.paths[:0]
+	states := n.flows[:0]
+	h := n.arrivals[:0]
+	var seq uint64
 	for i, f := range flows {
 		wire := n.cfg.WireBytes(mode, f.Bytes)
 		if f.Src == f.Dst || wire == 0 {
 			done[i] = at
+			states = append(states, flowState{})
 			continue
 		}
 		chunks := (wire + chunkBytes - 1) / chunkBytes
-		last := wire - (chunks-1)*chunkBytes
-		states[i] = &flowState{
-			path:      n.path(f.Src, f.Dst),
-			chunks:    chunks,
-			lastBytes: last,
-			perByte:   n.nsPerByteFor(f.Src, f.Dst),
-		}
+		perByte := n.nsPerByteFor(f.Src, f.Dst)
+		from := len(paths)
+		paths = n.appendPath(paths, f.Src, f.Dst)
+		states = append(states, flowState{
+			from:   from,
+			hops:   int32(len(paths) - from),
+			chunks: chunks,
+			full:   chunkDur(chunkBytes, perByte),
+			last:   chunkDur(wire-(chunks-1)*chunkBytes, perByte),
+		})
+		h.push(arrival{t: at, seq: seq, flow: int32(i)})
+		seq++
 	}
 
-	durOf := func(st *flowState, chunk int64) sim.Time {
-		bytes := chunkBytes
-		if chunk == st.chunks-1 {
-			bytes = st.lastBytes
+	var events int64
+	for len(h) > 0 {
+		a := h.pop()
+		events++
+		st := &states[a.flow]
+		dur := st.full
+		if a.chunk == st.chunks-1 {
+			dur = st.last
 		}
-		d := sim.Time(float64(bytes)*st.perByte + 0.5)
-		if d < 1 {
-			d = 1
-		}
-		return d
-	}
-
-	// Per-resource FIFO queues plus a global time-ordered agenda of
-	// arrivals. Resources serve arrivals in (time, seq) order, which the
-	// heap guarantees by construction: we always process the earliest
-	// pending arrival and claim its resource then.
-	eng := sim.NewEngine()
-	var seq uint64
-	var deliver func(a arrival)
-	deliver = func(a arrival) {
-		st := states[a.flow]
-		res := st.path[a.hop]
-		_, end := res.Claim(a.t, durOf(st, a.chunk))
+		_, end := paths[st.from+int(a.hop)].Claim(a.t, dur)
 		if a.hop == 0 && a.chunk+1 < st.chunks {
 			// The next chunk may enter the injection port once this one
 			// left it.
-			next := arrival{flow: a.flow, hop: 0, chunk: a.chunk + 1, t: end, seq: seq}
+			h.push(arrival{t: end, seq: seq, flow: a.flow, chunk: a.chunk + 1})
 			seq++
-			st.launched++
-			eng.Schedule(end, func() { deliver(next) })
 		}
-		if a.hop+1 < len(st.path) {
-			nxt := arrival{flow: a.flow, hop: a.hop + 1, chunk: a.chunk, t: end, seq: seq}
+		if a.hop+1 < st.hops {
+			h.push(arrival{t: end, seq: seq, flow: a.flow, hop: a.hop + 1, chunk: a.chunk})
 			seq++
-			eng.Schedule(end, func() { deliver(nxt) })
-			return
+			continue
 		}
 		// Final hop: delivery.
 		if end > done[a.flow] {
@@ -270,16 +249,88 @@ func (n *Network) Batch(at sim.Time, flows []Flow, mode Mode) (done []sim.Time, 
 			makespan = end
 		}
 	}
-	for i, st := range states {
-		if st == nil {
-			continue
-		}
-		first := arrival{flow: i, hop: 0, chunk: 0, t: at, seq: seq}
-		seq++
-		st.launched = 1
-		eng.Schedule(at, func() { deliver(first) })
-	}
-	eng.Run()
-	n.cfg.Stats.RecordEvents(eng.Dispatched(), makespan-at)
+	n.paths, n.flows, n.arrivals = paths, states, h
+	n.cfg.Stats.RecordEvents(events, makespan-at)
 	return done, makespan
+}
+
+// chunkDur is the service time of a chunk of the given wire bytes at
+// perByte ns per byte, rounded to the nearest ns and at least 1.
+func chunkDur(bytes int64, perByte float64) sim.Time {
+	d := sim.Time(float64(bytes)*perByte + 0.5)
+	if d < 1 {
+		d = 1
+	}
+	return d
+}
+
+// flowState is one flow of a Batch: its resource chain is
+// paths[from:from+hops] (hops is 0 for a flow that sends nothing), and
+// its chunks take full ns per hop, the final one last ns.
+type flowState struct {
+	from       int
+	hops       int32
+	chunks     int64
+	full, last sim.Time
+}
+
+// arrival is one chunk of a flow reaching one hop of its path at time
+// t; seq numbers arrivals in push order and breaks ties in t.
+type arrival struct {
+	t         sim.Time
+	seq       uint64
+	chunk     int64
+	flow, hop int32
+}
+
+func (a *arrival) before(b *arrival) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
+
+// arrivalHeap is a binary min-heap of arrivals ordered by (t, seq).
+// Keys are unique, so it pops every arrival in one total order.
+type arrivalHeap []arrival
+
+func (h *arrivalHeap) push(a arrival) {
+	q := append(*h, a)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !a.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = a
+	*h = q
+}
+
+// pop removes and returns the earliest arrival; the heap must be
+// non-empty.
+func (h *arrivalHeap) pop() arrival {
+	q := *h
+	top := q[0]
+	last := q[len(q)-1]
+	q = q[:len(q)-1]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if r := c + 1; r < len(q) && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if len(q) > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
 }

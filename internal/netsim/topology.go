@@ -27,6 +27,9 @@ type Topology interface {
 	// dst traverses (dimension-order routing). Routing a node to itself
 	// returns nil.
 	Route(src, dst int) []int
+	// AppendRoute appends Route(src, dst) to buf and returns the
+	// extended slice, so a caller routing many pairs reuses one buffer.
+	AppendRoute(buf []int, src, dst int) []int
 }
 
 // Torus3D is a three-dimensional torus with bidirectional links and
@@ -69,16 +72,18 @@ func (t Torus3D) NodeAt(x, y, z int) int { return x + t.X*(y+t.Y*z) }
 func (t Torus3D) linkID(n, dim, dir int) int { return (n*3+dim)*2 + dir }
 
 // Route implements Topology with shortest-way wraparound routing.
-func (t Torus3D) Route(src, dst int) []int {
+func (t Torus3D) Route(src, dst int) []int { return t.AppendRoute(nil, src, dst) }
+
+// AppendRoute implements Topology.
+func (t Torus3D) AppendRoute(path []int, src, dst int) []int {
 	if src == dst {
-		return nil
+		return path
 	}
-	var path []int
 	sx, sy, sz := t.Coord(src)
 	dx, dy, dz := t.Coord(dst)
-	cur := []int{sx, sy, sz}
-	tgt := []int{dx, dy, dz}
-	size := []int{t.X, t.Y, t.Z}
+	cur := [3]int{sx, sy, sz}
+	tgt := [3]int{dx, dy, dz}
+	size := [3]int{t.X, t.Y, t.Z}
 	for dim := 0; dim < 3; dim++ {
 		for cur[dim] != tgt[dim] {
 			n := t.NodeAt(cur[0], cur[1], cur[2])
@@ -131,11 +136,13 @@ func (m Mesh2D) NodeAt(x, y int) int { return x + m.X*y }
 func (m Mesh2D) linkID(n, dim, dir int) int { return (n*2+dim)*2 + dir }
 
 // Route implements Topology.
-func (m Mesh2D) Route(src, dst int) []int {
+func (m Mesh2D) Route(src, dst int) []int { return m.AppendRoute(nil, src, dst) }
+
+// AppendRoute implements Topology.
+func (m Mesh2D) AppendRoute(path []int, src, dst int) []int {
 	if src == dst {
-		return nil
+		return path
 	}
-	var path []int
 	cx, cy := m.Coord(src)
 	dx, dy := m.Coord(dst)
 	for cx != dx {

@@ -49,12 +49,14 @@ func CongestionOf(topo Topology, flows []Flow, nodesPerPort int) float64 {
 		nodesPerPort = 1
 	}
 	linkLoad := make(map[int]int)
+	var route []int
 	ports := (topo.Nodes() + nodesPerPort - 1) / nodesPerPort
 	inj := make([]int, ports)
 	ej := make([]int, ports)
 	max := 1
 	for _, f := range flows {
-		for _, l := range topo.Route(f.Src, f.Dst) {
+		route = topo.AppendRoute(route[:0], f.Src, f.Dst)
+		for _, l := range route {
 			linkLoad[l]++
 			if linkLoad[l] > max {
 				max = linkLoad[l]

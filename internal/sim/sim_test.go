@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -26,94 +25,6 @@ func TestTimeString(t *testing.T) {
 func TestTimeSeconds(t *testing.T) {
 	if s := Time(2_000_000_000).Seconds(); s != 2.0 {
 		t.Errorf("Seconds = %v, want 2.0", s)
-	}
-}
-
-func TestEngineRunsInTimestampOrder(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	for _, at := range []Time{30, 10, 20, 10, 5} {
-		at := at
-		e.Schedule(at, func() { got = append(got, at) })
-	}
-	e.Run()
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Errorf("events out of order: %v", got)
-	}
-	if len(got) != 5 {
-		t.Errorf("ran %d events, want 5", len(got))
-	}
-}
-
-func TestEngineTiesAreFIFO(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(100, func() { got = append(got, i) })
-	}
-	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("tie order broken: %v", got)
-		}
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	e.Schedule(10, func() {
-		fired = append(fired, e.Now())
-		e.After(5, func() { fired = append(fired, e.Now()) })
-	})
-	end := e.Run()
-	if end != 15 {
-		t.Errorf("end = %v, want 15", end)
-	}
-	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
-		t.Errorf("fired = %v", fired)
-	}
-}
-
-func TestEnginePastSchedulingPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past should panic")
-			}
-		}()
-		e.Schedule(5, func() {})
-	})
-	e.Run()
-}
-
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("After with negative delay should panic")
-		}
-	}()
-	NewEngine().After(-1, func() {})
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var count int
-	for _, at := range []Time{10, 20, 30, 40} {
-		e.Schedule(at, func() { count++ })
-	}
-	e.RunUntil(25)
-	if count != 2 {
-		t.Errorf("count = %d, want 2", count)
-	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if count != 4 {
-		t.Errorf("count after Run = %d, want 4", count)
 	}
 }
 

@@ -3,12 +3,12 @@ package sim
 import "sync/atomic"
 
 // Stats accumulates observability counters across simulator runs: how
-// many discrete events engines dispatched, how many memory accesses the
-// analytic memory simulators performed, and how much simulated time
-// elapsed in total. A single Stats is typically attached to every
-// simulator instance belonging to one experiment, so the experiment
-// runner can attribute work per experiment even when many experiments
-// execute concurrently.
+// many discrete events the network simulator dispatched, how many
+// memory accesses the analytic memory simulators performed, and how
+// much simulated time elapsed in total. A single Stats is typically
+// attached to every simulator instance belonging to one experiment, so
+// the experiment runner can attribute work per experiment even when
+// many experiments execute concurrently.
 //
 // All methods are safe for concurrent use and nil-safe: recording into
 // a nil *Stats is a no-op, so simulators can record unconditionally.

@@ -5,24 +5,6 @@ import (
 	"testing"
 )
 
-func TestEngineDispatchedCounts(t *testing.T) {
-	e := NewEngine()
-	for i := Time(1); i <= 5; i++ {
-		e.Schedule(i, func() {})
-	}
-	if e.Dispatched() != 0 {
-		t.Fatalf("Dispatched before Run = %d", e.Dispatched())
-	}
-	e.RunUntil(3)
-	if e.Dispatched() != 3 {
-		t.Fatalf("Dispatched after RunUntil(3) = %d, want 3", e.Dispatched())
-	}
-	e.Run()
-	if e.Dispatched() != 5 {
-		t.Fatalf("Dispatched after Run = %d, want 5", e.Dispatched())
-	}
-}
-
 func TestStatsNilSafe(t *testing.T) {
 	var s *Stats
 	s.RecordEvents(10, 100) // must not panic

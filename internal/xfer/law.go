@@ -194,11 +194,16 @@ type Law struct {
 // memories exactly like the engine path does, so a fitted law stands in
 // for engine runs bit for bit.
 func FitLaw(m *machine.Machine, kind Kind, x, y pattern.Spec, residue int) *Law {
-	p := PeriodOf(m, kind, x, y)
-	if p == 0 {
+	return FitLawPeriod(m, kind, x, y, PeriodOf(m, kind, x, y), residue)
+}
+
+// FitLawPeriod is FitLaw for a caller that already holds the shape's
+// period, which must be PeriodOf(m, kind, x, y).
+func FitLawPeriod(m *machine.Machine, kind Kind, x, y pattern.Spec, period, residue int) *Law {
+	if period == 0 {
 		return nil
 	}
-	fit := memLaws.Fit(int64(p), int64(residue), func(words int64) (memsim.Result, bool) {
+	fit := memLaws.Fit(int64(period), int64(residue), func(words int64) (memsim.Result, bool) {
 		return memPart(memsim.MustNew(m.Mem), kind, x, y, int(words)), true
 	})
 	if fit == nil {
