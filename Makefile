@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzCollectiveWordsLaw$$' -fuzztime 30s ./internal/query/
 	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 30s ./internal/netsim/
+	$(GO) test -fuzz 'FuzzCertifiedLawMatchesReference$$' -fuzztime 30s ./internal/xfer/
 
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/model/
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzCollectiveWordsLaw$$' -fuzztime 10s ./internal/query/
 	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 10s ./internal/netsim/
+	$(GO) test -fuzz 'FuzzCertifiedLawMatchesReference$$' -fuzztime 10s ./internal/xfer/
 
 gofmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

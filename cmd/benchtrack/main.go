@@ -24,12 +24,14 @@ import (
 	"time"
 )
 
-// gate passes when the best of gateRuns runs at benchtime is within
-// factor × the median of the latest recorded entry of its benchmark.
+// gate passes when the best of gateRuns runs is within factor × the
+// median of the latest recorded entry of its benchmark. Each run uses
+// recordBenchtime, the benchtime every entry is recorded at, so that
+// both figures are measured alike.
 type gate struct {
-	metric, benchtime string
-	higher            bool // higher is better: fail below factor × baseline, else above
-	factor            float64
+	metric string
+	higher bool // higher is better: fail below factor × baseline, else above
+	factor float64
 }
 
 // row is one recorded benchmark: its package, trajectory file and gate.
@@ -39,17 +41,18 @@ type row struct {
 }
 
 var table = []row{
-	{"BenchmarkSweep", "./internal/sweep/", "BENCH_sweep.json", &gate{"rows_per_sec", "1x", true, 0.75}},
+	{"BenchmarkSweep", "./internal/sweep/", "BENCH_sweep.json", &gate{"rows_per_sec", true, 0.75}},
 	{"BenchmarkSweepEngine", "./internal/sweep/", "BENCH_sweep.json", nil},
 	{"BenchmarkRunStream", "./internal/memsim/", "BENCH_hotpath.json", nil},
 	{"BenchmarkEngineWrite", "./internal/memsim/", "BENCH_hotpath.json", nil},
 	// The serve and planner gates are cliff detectors, loose for mux noise.
-	{"BenchmarkServeMixed", "./internal/serve/", "BENCH_serve.json", &gate{"ns_per_op", "1000x", false, 2.0}},
+	{"BenchmarkServeMixed", "./internal/serve/", "BENCH_serve.json", &gate{"ns_per_op", false, 2.0}},
 	{"BenchmarkRouterMixed", "./internal/router/", "BENCH_serve.json", nil},
 	{"BenchmarkFit", "./internal/calibrate/", "BENCH_fit.json", nil},
-	{"BenchmarkCollectivePlan", "./internal/collective/", "BENCH_collective.json", &gate{"ns_per_op", "100x", false, 2.0}},
+	{"BenchmarkFitLaw", "./internal/xfer/", "BENCH_fit.json", nil},
+	{"BenchmarkCollectivePlan", "./internal/collective/", "BENCH_collective.json", &gate{"ns_per_op", false, 2.0}},
 	// Losing the words laws costs this sweep two orders of magnitude.
-	{"BenchmarkCollectiveSweep", "./internal/sweep/", "BENCH_collective.json", &gate{"rows_per_sec", "1x", true, 0.75}},
+	{"BenchmarkCollectiveSweep", "./internal/sweep/", "BENCH_collective.json", &gate{"rows_per_sec", true, 0.75}},
 	{"BenchmarkCollectiveSweepEngine", "./internal/sweep/", "BENCH_collective.json", nil},
 	{"BenchmarkBatchShift", "./internal/netsim/", "BENCH_collective.json", nil},
 }
@@ -59,14 +62,18 @@ const recordCount, recordBenchtime, gateRuns, perfbenchRepeat, perfbenchSeconds 
 // entry is one recording of one benchmark. Metrics holds per metric the
 // median, min and max of N go test samples, or perfbench's median, q1, q3.
 // Host is nil only on entries recorded before hosts were stamped.
+// Benchtime is go test's -benchtime of the samples, kept as provenance;
+// entries recorded before it was stamped have none and were recorded at
+// recordBenchtime too.
 type entry struct {
-	Name    string                        `json:"name"`
-	Date    string                        `json:"date"`
-	Commit  string                        `json:"commit"`
-	Dirty   bool                          `json:"dirty"`
-	Host    *host                         `json:"host,omitempty"`
-	N       int                           `json:"n"`
-	Metrics map[string]map[string]float64 `json:"metrics"`
+	Name      string                        `json:"name"`
+	Date      string                        `json:"date"`
+	Commit    string                        `json:"commit"`
+	Dirty     bool                          `json:"dirty"`
+	Host      *host                         `json:"host,omitempty"`
+	Benchtime string                        `json:"benchtime,omitempty"`
+	N         int                           `json:"n"`
+	Metrics   map[string]map[string]float64 `json:"metrics"`
 }
 
 // host names the machine an entry was measured on, as go test's
@@ -210,6 +217,7 @@ func record(rows []row, dir string, bench func(string, int, ...row) (string, err
 	if err != nil {
 		return err
 	}
+	st.Benchtime = recordBenchtime
 	entries, added := parseBench(out, st), map[string][]entry{}
 	for _, r := range rows {
 		mine := slices.DeleteFunc(slices.Clone(entries), func(e entry) bool { return strings.SplitN(e.Name, "/", 2)[0] != r.name })
@@ -291,9 +299,9 @@ func appendEntries(dir string, added map[string][]entry) (err error) {
 	return err
 }
 
-// runGate runs each gated row best of gateRuns against the latest
-// entry's median. allow downgrades only a regression, never a missing
-// baseline or a run that reports no metric.
+// runGate runs each gated row best of gateRuns, at recordBenchtime,
+// against the latest entry's median. allow downgrades only a
+// regression, never a missing baseline or a run that reports no metric.
 func runGate(rows []row, dir string, allow bool, bench func(string, int, ...row) (string, error), log io.Writer) error {
 	failed := 0
 	fail := func(format string, args ...any) {
@@ -314,7 +322,7 @@ next:
 		}
 		var runs []float64
 		for i := 1; i <= gateRuns; i++ {
-			out, err := bench(g.benchtime, 1, r)
+			out, err := bench(recordBenchtime, 1, r)
 			cur, ok := median(parseBench(out, entry{}), r.name, g.metric)
 			if err != nil || !ok {
 				fail("%v", errors.Join(err, fmt.Errorf("%s reported no %s", r.name, g.metric)))

@@ -151,10 +151,11 @@ func TestRuntimeHost(t *testing.T) {
 }
 
 // TestGateVerdicts pins the gate's decisions: best of gateRuns against
-// factor × the latest baseline median, in both directions.
+// factor × the latest baseline median, in both directions, each run at
+// recordBenchtime, the benchtime the baselines were recorded at.
 func TestGateVerdicts(t *testing.T) {
-	higher := row{"BenchmarkX", "./x/", "BENCH_x.json", &gate{"rows_per_sec", "1x", true, 0.75}}
-	lower := row{"BenchmarkX", "./x/", "BENCH_x.json", &gate{"ns_per_op", "100x", false, 2.0}}
+	higher := row{"BenchmarkX", "./x/", "BENCH_x.json", &gate{"rows_per_sec", true, 0.75}}
+	lower := row{"BenchmarkX", "./x/", "BENCH_x.json", &gate{"ns_per_op", false, 2.0}}
 	baseline := []entry{
 		{Name: "BenchmarkX", Commit: "old", N: 1, Metrics: map[string]map[string]float64{
 			"rows_per_sec": {"median": 1}, "ns_per_op": {"median": 1}}},
@@ -191,7 +192,7 @@ func TestGateVerdicts(t *testing.T) {
 		}
 		calls := 0
 		bench := func(benchtime string, count int, rows ...row) (string, error) {
-			if benchtime != c.r.gate.benchtime || count != 1 || len(rows) != 1 || rows[0].name != c.r.name {
+			if benchtime != recordBenchtime || count != 1 || len(rows) != 1 || rows[0].name != c.r.name {
 				t.Errorf("%s: bench(%s, %d, %v)", c.name, benchtime, count, rows)
 			}
 			v := c.runs[calls]
@@ -213,7 +214,7 @@ func TestGateVerdicts(t *testing.T) {
 }
 
 // TestRecord pins where record writes: into a directory it makes first,
-// all files or none.
+// all files or none, each entry stamped with its benchtime.
 func TestRecord(t *testing.T) {
 	rows := []row{{"BenchmarkA", "./a/", "BENCH_a.json", nil}, {"BenchmarkB", "./b/", "BENCH_b.json", nil}}
 	out := "BenchmarkA-2 \t 10\t 5 ns/op\nBenchmarkB/x-2 \t 3\t 7 ns/op\nBenchmarkB/y-2 \t 3\t 8 ns/op\n"
@@ -240,6 +241,9 @@ func TestRecord(t *testing.T) {
 		if err := record(rows, dir, bench); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if entries, err := readEntries(filepath.Join(dir, "BENCH_a.json")); err != nil || entries[0].Benchtime != recordBenchtime {
+		t.Errorf("recorded entries %+v (%v), want benchtime %s", entries, err, recordBenchtime)
 	}
 	if a, b := names(filepath.Join(dir, "BENCH_a.json")), names(filepath.Join(dir, "BENCH_b.json")); !reflect.DeepEqual(a, []string{"BenchmarkA", "BenchmarkA"}) ||
 		!reflect.DeepEqual(b, []string{"BenchmarkB/x", "BenchmarkB/y", "BenchmarkB/x", "BenchmarkB/y"}) {

@@ -119,9 +119,8 @@ type probe struct {
 // family "collective".
 var wordsLaws = law.Register("collective", law.Family[probe]{
 	C1:     lawWordsC1,
-	Verify: []int64{lawWordsC3, lawWordsC4},
-	Far:    lawWordsC5,
-	Pair:   func(p1, p2 probe) (ok, far bool) { return sameShape(p1.ev, p2.ev), true },
+	Verify: []int64{lawWordsC3, lawWordsC4, lawWordsC5},
+	Pair:   func(p1, p2 probe) bool { return sameShape(p1.ev, p2.ev) },
 	Predict: func(p1, p2 probe, n int64) probe {
 		return probe{ev: p1.ev, t: p1.t + sim.Time(n)*(p2.t-p1.t)}
 	},

@@ -11,17 +11,24 @@
 //
 //   - fit: probe at C1 and C1+1 periods past the residue;
 //   - verify: the extrapolation of those two probes must reproduce the
-//     authority bit for bit at every verification probe, and at the far
-//     probe unless the family waives it for this pair;
+//     authority bit for bit at every verification probe, the last of
+//     them far beyond the fit region;
 //   - cover: a fitted law answers only word counts in its residue class,
 //     at or past the first fit probe, and at most MaxWords.
+//
+// An authority that proves its own recurrence shortens the fit: when
+// the family's Next finds a certificate on the first probe, the second
+// fit probe is that probe advanced by one certified period, and no
+// further probe runs. Without one the first probe is reused and the
+// rest of the contract runs as above. Coverage starts at C1 periods
+// either way.
 //
 // A family that fails any step gets no law and its caller evaluates
 // with the authority, so a law changes cost, never answers.
 //
 // Every Fit of a registered family is counted process-wide by family
 // and outcome (FitCounts), so a server can show how many fits its
-// traffic cost.
+// traffic cost and how many of them a certificate admitted.
 package law
 
 import (
@@ -41,26 +48,30 @@ const MaxWords = 1 << 31
 type Family[R any] struct {
 	// C1 is the first fit probe; the second sits one period later.
 	C1 int64
-	// Verify lists the verification probes every fit must reproduce.
+	// Verify lists the verification probes every uncertified fit must
+	// reproduce, in the order they run.
 	Verify []int64
-	// Far is the far verification probe, beyond the fit region.
-	Far int64
-	// Pair judges the two fit probes: ok=false rejects the fit, and
-	// far=false waives the far probe.
-	Pair func(r1, r2 R) (ok, far bool)
+	// Pair, when set, judges the two fit probes: false rejects the fit.
+	Pair func(r1, r2 R) bool
 	// Predict extrapolates the fit probes r1 and r2 to n periods past
 	// C1, in exact integer arithmetic.
 	Predict func(r1, r2 R, n int64) R
 	// Equal reports whether a prediction matches a probe bit for bit.
 	Equal func(pred, probe R) bool
+	// Next, when set, returns the first fit probe advanced by one
+	// period of the given length, with ok=true only when that probe
+	// carries the authority's certificate of exact recurrence at this
+	// period. The result stands in for the second fit probe, and the
+	// certificate for every verification probe.
+	Next func(r1 R, period int64) (r2 R, ok bool)
 
 	counts *fitCounts // nil until Register
 }
 
 // fitCounts counts one registered family's fits.
 type fitCounts struct {
-	name             string
-	fitted, rejected atomic.Int64
+	name                        string
+	fitted, certified, rejected atomic.Int64
 }
 
 // registry holds every registered family's counts.
@@ -87,12 +98,14 @@ func Register[R any](name string, f Family[R]) *Family[R] {
 }
 
 // FitCount is one registered family's fit tally since the process
-// started: fits admitted as laws, and fits rejected by a failed probe,
-// the pair judgment or a verification mismatch.
+// started: fits admitted as laws, the part of them a certificate
+// admitted from one probe, and fits rejected by a failed probe, the
+// pair judgment or a verification mismatch.
 type FitCount struct {
-	Family   string
-	Fitted   int64
-	Rejected int64
+	Family    string
+	Fitted    int64
+	Certified int64
+	Rejected  int64
 }
 
 // FitCounts returns every registered family's tally, sorted by family
@@ -101,7 +114,7 @@ func FitCounts() []FitCount {
 	registry.mu.Lock()
 	out := make([]FitCount, 0, len(registry.counts))
 	for _, c := range registry.counts {
-		out = append(out, FitCount{Family: c.name, Fitted: c.fitted.Load(), Rejected: c.rejected.Load()})
+		out = append(out, FitCount{Family: c.name, Fitted: c.fitted.Load(), Certified: c.certified.Load(), Rejected: c.rejected.Load()})
 	}
 	registry.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Family < out[j].Family })
@@ -120,33 +133,47 @@ type Law[R any] struct {
 // the residue class mod period, and returns the verified law — or nil
 // when the residue is out of range, a probe fails, Pair rejects the fit
 // probes, or any verification probe differs from the extrapolation.
-// A registered family counts the outcome of every fit it probes for.
+// A certificate on the first probe (Next) admits the law from that
+// probe alone. A registered family counts the outcome of every fit it
+// probes for.
 func (f *Family[R]) Fit(period, residue int64, probe func(words int64) (R, bool)) *Law[R] {
 	if period <= 0 || residue < 0 || residue >= period {
 		return nil
 	}
-	l := f.fit(period, residue, probe)
+	l, certified := f.fit(period, residue, probe)
 	if f.counts != nil {
-		if l != nil {
-			f.counts.fitted.Add(1)
-		} else {
+		switch {
+		case l == nil:
 			f.counts.rejected.Add(1)
+		case certified:
+			f.counts.certified.Add(1)
+			fallthrough
+		default:
+			f.counts.fitted.Add(1)
 		}
 	}
 	return l
 }
 
-// fit is Fit on a valid residue class, uncounted.
-func (f *Family[R]) fit(period, residue int64, probe func(words int64) (R, bool)) *Law[R] {
+// fit is Fit on a valid residue class, uncounted; certified reports a
+// law admitted by the first probe's certificate.
+func (f *Family[R]) fit(period, residue int64, probe func(words int64) (R, bool)) (l *Law[R], certified bool) {
 	run := func(c int64) (R, bool) { return probe(c*period + residue) }
-	r1, ok1 := run(f.C1)
-	r2, ok2 := run(f.C1 + 1)
-	if !ok1 || !ok2 {
-		return nil
-	}
-	ok, far := f.Pair(r1, r2)
+	r1, ok := run(f.C1)
 	if !ok {
-		return nil
+		return nil, false
+	}
+	if f.Next != nil {
+		if r2, ok := f.Next(r1, period); ok {
+			if f.Pair != nil && !f.Pair(r1, r2) {
+				return nil, false
+			}
+			return &Law[R]{f: f, period: period, residue: residue, r1: r1, r2: r2}, true
+		}
+	}
+	r2, ok := run(f.C1 + 1)
+	if !ok || f.Pair != nil && !f.Pair(r1, r2) {
+		return nil, false
 	}
 	check := func(c int64) bool {
 		r, ok := run(c)
@@ -154,13 +181,10 @@ func (f *Family[R]) fit(period, residue int64, probe func(words int64) (R, bool)
 	}
 	for _, c := range f.Verify {
 		if !check(c) {
-			return nil
+			return nil, false
 		}
 	}
-	if far && !check(f.Far) {
-		return nil
-	}
-	return &Law[R]{f: f, period: period, residue: residue, r1: r1, r2: r2}
+	return &Law[R]{f: f, period: period, residue: residue, r1: r1, r2: r2}, false
 }
 
 // Reaches reports whether a law of the family with this period would

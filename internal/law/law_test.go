@@ -6,12 +6,10 @@ import (
 )
 
 // affine is a toy family over integer results: fit at 2 and 3
-// periods, verify at 4, far probe at 9.
+// periods, verify at 4 and at the far probe 9.
 var affine = Family[int64]{
 	C1:      2,
-	Verify:  []int64{4},
-	Far:     9,
-	Pair:    func(r1, r2 int64) (ok, far bool) { return true, true },
+	Verify:  []int64{4, 9},
 	Predict: func(r1, r2, n int64) int64 { return r1 + n*(r2-r1) },
 	Equal:   func(pred, probe int64) bool { return pred == probe },
 }
@@ -43,22 +41,65 @@ func TestFitAffine(t *testing.T) {
 }
 
 // A sequence affine on the fit and near probes but not at the far probe
-// is rejected — unless the family waives the far probe for the pair.
+// is rejected, and so is a pair the family's Pair judges unfit.
 func TestFitRejectsFarMismatch(t *testing.T) {
 	var probed []int64
 	if affine.Fit(10, 3, line(&probed, 93, 5+3*93+1)) != nil {
 		t.Error("a far-probe mismatch must reject the fit")
 	}
-	waived := affine
-	waived.Pair = func(r1, r2 int64) (ok, far bool) { return true, false }
-	if waived.Fit(10, 3, line(&probed, 93, 5+3*93+1)) == nil {
-		t.Error("with the far probe waived the near probes alone must admit the fit")
+	rejecting := affine
+	rejecting.Pair = func(r1, r2 int64) bool { return false }
+	if rejecting.Fit(10, 3, line(&probed, -1, 0)) != nil {
+		t.Error("Pair must be able to reject a fit")
 	}
 	if affine.Fit(10, 3, line(&probed, 43, 0)) != nil {
 		t.Error("a near-probe mismatch must reject the fit")
 	}
 	if affine.Fit(10, 10, line(&probed, -1, 0)) != nil || affine.Fit(10, -1, line(&probed, -1, 0)) != nil {
 		t.Error("a residue outside [0, period) must not fit")
+	}
+}
+
+// certified is affine with a certificate: the authority proves its
+// recurrence at period 10 only, so a first probe at that period
+// advances by one period without probing.
+var certified = func() Family[int64] {
+	f := affine
+	f.Next = func(r1, period int64) (int64, bool) { return r1 + 3*period, period == 10 }
+	return f
+}()
+
+// A certified first probe admits the law alone; without a certificate
+// for the law's period the first probe is reused and the rest of the
+// contract runs; an out-of-range residue probes nothing.
+func TestFitCertified(t *testing.T) {
+	var probed []int64
+	l := certified.Fit(10, 3, line(&probed, -1, 0))
+	if l == nil || !reflect.DeepEqual(probed, []int64{23}) {
+		t.Fatalf("certified fit probed %v (law %v), want only [23]", probed, l != nil)
+	}
+	if got := l.At(1003); got != 5+3*1003 {
+		t.Errorf("At(1003) = %d, want %d", got, 5+3*1003)
+	}
+	if l.Covers(13) || !l.Covers(23) {
+		t.Error("a certified law must cover from the first fit probe on, as a probed one does")
+	}
+	probed = nil
+	if certified.Fit(20, 3, line(&probed, -1, 0)) == nil || !reflect.DeepEqual(probed, []int64{43, 63, 83, 183}) {
+		t.Errorf("uncertified period probed %v, want [43 63 83 183]", probed)
+	}
+	probed = nil
+	if certified.Fit(20, 3, line(&probed, 183, 0)) != nil {
+		t.Error("without a certificate a far-probe mismatch must still reject the fit")
+	}
+	probed = nil
+	if certified.Fit(10, 10, line(&probed, -1, 0)) != nil || len(probed) != 0 {
+		t.Errorf("residue == period probed %v, want no fit and no probe", probed)
+	}
+	rejecting := certified
+	rejecting.Pair = func(r1, r2 int64) bool { return false }
+	if rejecting.Fit(10, 3, line(&probed, -1, 0)) != nil {
+		t.Error("Pair must judge a certified pair too")
 	}
 }
 
@@ -89,10 +130,11 @@ func TestCoverageBoundaries(t *testing.T) {
 }
 
 // TestFitCounts: a registered family counts every fit it probes for,
-// by outcome; an out-of-range residue probes nothing and counts
-// nothing; an unregistered family counts nothing.
+// by outcome, and the certified part of its fitted laws; an
+// out-of-range residue probes nothing and counts nothing; an
+// unregistered family counts nothing.
 func TestFitCounts(t *testing.T) {
-	f := Register("test-affine", affine)
+	f := Register("test-affine", certified)
 	count := func() FitCount {
 		for _, c := range FitCounts() {
 			if c.Family == "test-affine" {
@@ -102,16 +144,17 @@ func TestFitCounts(t *testing.T) {
 		t.Fatal("registered family missing from FitCounts")
 		return FitCount{}
 	}
-	if c := count(); c.Fitted != 0 || c.Rejected != 0 {
+	if c := count(); c.Fitted != 0 || c.Certified != 0 || c.Rejected != 0 {
 		t.Fatalf("fresh family counts %+v, want zeros", c)
 	}
 	var probed []int64
-	f.Fit(10, 3, line(&probed, -1, 0))      // fits
-	f.Fit(10, 3, line(&probed, 93, 0))      // far-probe mismatch
-	f.Fit(10, 10, line(&probed, -1, 0))     // residue out of range
-	affine.Fit(10, 3, line(&probed, -1, 0)) // unregistered
-	if c := count(); c.Fitted != 1 || c.Rejected != 1 {
-		t.Errorf("counts %+v, want 1 fitted and 1 rejected", c)
+	f.Fit(20, 3, line(&probed, -1, 0))         // fits, uncertified
+	f.Fit(10, 3, line(&probed, -1, 0))         // fits, certified
+	f.Fit(20, 3, line(&probed, 183, 0))        // far-probe mismatch
+	f.Fit(10, 10, line(&probed, -1, 0))        // residue out of range
+	certified.Fit(10, 3, line(&probed, -1, 0)) // unregistered
+	if c := count(); c.Fitted != 2 || c.Certified != 1 || c.Rejected != 1 {
+		t.Errorf("counts %+v, want 2 fitted, 1 of them certified, and 1 rejected", c)
 	}
 }
 

@@ -9,10 +9,11 @@ import "ctcomm/internal/pattern"
 // periods executed: Result(c·P+r) = A + c·D for fixed residue r, with A
 // and D integer-valued. The analytic sweep layer (internal/xfer) fits A
 // and D from two probe runs one period apart, verifies the law bitwise
-// on further probes, and then emits Results for any word count by pure
-// integer arithmetic — bit-identical to running the engine, because the
-// float fields are re-derived from the integer fs fields exactly as
-// endRun derives them.
+// on further probes — or takes both from one run that carries a
+// recurrence certificate (Cert) — and then emits Results for any word
+// count by pure integer arithmetic, bit-identical to running the
+// engine, because the float fields are re-derived from the integer fs
+// fields exactly as endRun derives them.
 //
 // This file holds the two memsim-side pieces of that contract: the
 // period of the engine (DMA/deposit) path, which has no fast-forward of
@@ -69,18 +70,26 @@ func (m *Memory) EnginePeriod(st *pattern.Stream) int {
 // law actually holds (probe runs at further period counts must match
 // bitwise); PredictLinear is pure arithmetic.
 func PredictLinear(r1, r2 Result, n int64) Result {
-	lin := func(a, b int64) int64 { return a + n*(b-a) }
+	return counters(r1, r2, func(a, b int64) int64 { return a + n*(b-a) })
+}
+
+// counters is the Result whose every integer counter is f of the
+// counters of the same name in a and b, its float fields re-derived
+// from its fs fields as endRun derives them, and FastForwarded a's.
+// It is the one list of Result's counters that law arithmetic (Cert,
+// PredictLinear) goes through.
+func counters(a, b Result, f func(a, b int64) int64) Result {
 	res := Result{
-		PayloadBytes:  lin(r1.PayloadBytes, r2.PayloadBytes),
-		Loads:         lin(r1.Loads, r2.Loads),
-		Stores:        lin(r1.Stores, r2.Stores),
-		CacheHits:     lin(r1.CacheHits, r2.CacheHits),
-		CacheMisses:   lin(r1.CacheMisses, r2.CacheMisses),
-		RowHits:       lin(r1.RowHits, r2.RowHits),
-		RowMisses:     lin(r1.RowMisses, r2.RowMisses),
-		ElapsedFs:     lin(r1.ElapsedFs, r2.ElapsedFs),
-		DRAMBusyFs:    lin(r1.DRAMBusyFs, r2.DRAMBusyFs),
-		FastForwarded: r1.FastForwarded,
+		PayloadBytes:  f(a.PayloadBytes, b.PayloadBytes),
+		Loads:         f(a.Loads, b.Loads),
+		Stores:        f(a.Stores, b.Stores),
+		CacheHits:     f(a.CacheHits, b.CacheHits),
+		CacheMisses:   f(a.CacheMisses, b.CacheMisses),
+		RowHits:       f(a.RowHits, b.RowHits),
+		RowMisses:     f(a.RowMisses, b.RowMisses),
+		ElapsedFs:     f(a.ElapsedFs, b.ElapsedFs),
+		DRAMBusyFs:    f(a.DRAMBusyFs, b.DRAMBusyFs),
+		FastForwarded: a.FastForwarded,
 	}
 	res.ElapsedNs = toNs(res.ElapsedFs)
 	res.DRAMBusyNs = toNs(res.DRAMBusyFs)

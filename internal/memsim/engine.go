@@ -32,6 +32,7 @@ func (m *Memory) EngineRead(st *pattern.Stream) Result {
 func (m *Memory) engineRun(st *pattern.Stream, write bool) Result {
 	var res Result
 	m.dram.freeAt = 0
+	m.cert = Cert{}
 	startRowHits, startRowMiss := m.dram.rowHits, m.dram.rowMiss
 
 	lineWords := m.cfg.LineWords()

@@ -476,10 +476,24 @@ func ffRecurs(s0, s1, s2 *ffSnap) bool {
 // ffJump extrapolates n whole periods from the verified steady state of
 // the probe's last two snapshots and returns the new processor time.
 // All machine state is advanced exactly as n more simulated periods
-// would have advanced it.
+// would have advanced it. The run's recurrence certificate is the
+// per-period delta of those snapshots; it is issued unless the cache
+// holds a line from before the run phase.
 func (m *Memory) ffJump(p *ffProbe, n int64, t int64, res *Result) int64 {
 	s1, s2 := p.snaps[1], p.snaps[2]
-	d := func(i int) int64 { return n * (s2.lin[i] - s1.lin[i]) }
+	one := func(i int) int64 { return s2.lin[i] - s1.lin[i] }
+	d := func(i int) int64 { return n * one(i) }
+	m.cert = Cert{Period: int64(p.period), D: Result{
+		PayloadBytes: one(ffLinPayload),
+		Loads:        one(ffLinLoads),
+		Stores:       one(ffLinStores),
+		CacheHits:    one(ffLinCacheHits),
+		CacheMisses:  one(ffLinCacheMisses),
+		RowHits:      one(ffLinRowHits),
+		RowMisses:    one(ffLinRowMiss),
+		ElapsedFs:    one(ffLinT),
+		DRAMBusyFs:   one(ffLinBusy),
+	}}
 	dt := d(ffLinT)
 
 	m.dram.freeAt += dt
@@ -509,7 +523,11 @@ func (m *Memory) ffJump(p *ffProbe, n int64, t int64, res *Result) int64 {
 	dStamp := d(ffLinStamp)
 	dPos := [2]int64{d(ffLinPos), d(ffLinPos + 1)}
 	for i, tag := range c.tags {
-		if tag == -1 || c.lru[i] <= p.phaseStamp {
+		if tag == -1 {
+			continue
+		}
+		if c.lru[i] <= p.phaseStamp {
+			m.cert = Cert{}
 			continue
 		}
 		c.tags[i] = tag + dPos[p.owner(tag)]

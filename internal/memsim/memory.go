@@ -53,10 +53,40 @@ type Result struct {
 	DRAMBusyFs int64
 	// FastForwarded reports that the run verified steady-state
 	// recurrence and extrapolated at least one whole period (ff.go).
-	// The affine word-count laws of the analytic sweep path require it
-	// on their probe runs: it certifies that the stream reached a
-	// recurring state within the probed prefix.
+	// The affine word-count laws of the analytic sweep path read the
+	// run's recurrence certificate (Memory.Cert), not this flag.
 	FastForwarded bool
+}
+
+// Cert is a recurrence certificate: the proof a fast-forwarded run
+// issues that its cost is exactly affine in its period count. The run
+// verified that the whole machine state recurs over three period
+// boundaries (ff.go) and then jumped; each whole period it jumped over
+// adds exactly the per-period deltas below to the Result. So the run
+// one period longer — same residue, same streams, a memory in the same
+// starting state — returns exactly Next of this run's Result.
+//
+// A RunStream run issues one (Memory.Cert) only when its single run
+// phase (the wordwise schedule) fast-forwarded and the cache then held
+// no line from before the run, which a longer run's extra period might
+// reach. Engine runs, runs that never jump and two-phase
+// InterleaveLoadsFirst runs (a longer run lengthens both phases, and
+// the other phase is not certified) issue none. A longer copy must keep
+// its two streams disjoint (StreamPeriod), which the caller checks.
+type Cert struct {
+	// Period is the certified period in rounds, each one payload word
+	// per stream; 0 means no certificate.
+	Period int64
+	// D holds the per-period delta of every integer counter of Result;
+	// its float fields and FastForwarded are unused and zero.
+	D Result
+}
+
+// Next returns r, the Result of the run that issued c, advanced by one
+// certified period: every counter plus its delta, the float fields
+// re-derived from the fs fields as endRun derives them.
+func (c Cert) Next(r Result) Result {
+	return counters(r, c.D, func(a, d int64) int64 { return a + d })
 }
 
 // MBps returns the payload throughput in MB/s (1 MB = 1e6 bytes), the
@@ -119,6 +149,8 @@ type Memory struct {
 	// ff is the fast-forward probe's working state, built on the first
 	// probe (ff.go).
 	ff *ffState
+	// cert is the last run's recurrence certificate, if it issued one.
+	cert Cert
 }
 
 // New validates cfg and returns a fresh memory system.
@@ -156,6 +188,10 @@ func MustNew(cfg Config) *Memory {
 // Config returns the configuration the memory was built with.
 func (m *Memory) Config() Config { return m.cfg }
 
+// Cert returns the recurrence certificate of the memory's last run, or
+// the zero Cert (Period 0) when that run issued none.
+func (m *Memory) Cert() Cert { return m.cert }
+
 // Reset clears all cache, DRAM and queue state and rewinds time to zero.
 func (m *Memory) Reset() {
 	m.cache = newCache(&m.cfg)
@@ -185,6 +221,7 @@ type runBase struct {
 
 func (m *Memory) beginRun() runBase {
 	m.dram.freeAt = 0 // time is per-run; state (open page) carries over
+	m.cert = Cert{}
 	m.wbq.clear()
 	m.pfq.clear()
 	return runBase{
@@ -256,6 +293,7 @@ func (m *Memory) RunStream(loads, stores *pattern.Stream, policy InterleavePolic
 	if policy == InterleaveLoadsFirst {
 		t = m.runStreams(loads, nil, t, &res)
 		t = m.runStreams(nil, stores, t, &res)
+		m.cert = Cert{} // two phases: see Cert
 	} else {
 		t = m.runStreams(loads, stores, t, &res)
 	}

@@ -93,10 +93,12 @@ type CalibrationStats struct {
 }
 
 // LawFitStats counts one law family's fits process-wide
-// (law.FitCounts): laws admitted, and fits rejected.
+// (law.FitCounts): laws admitted, the part of them admitted from one
+// certified probe, and fits rejected.
 type LawFitStats struct {
-	Fitted   int64 `json:"fitted"`
-	Rejected int64 `json:"rejected"`
+	Fitted    int64 `json:"fitted"`
+	Certified int64 `json:"certified"`
+	Rejected  int64 `json:"rejected"`
 }
 
 // ServeStats is the `-stats`-style JSON dump of a ctserved instance.

@@ -233,11 +233,17 @@ func (m *metrics) writePrometheus(w io.Writer, srv *Server) error {
 	appendf("# TYPE ctserved_calibration_seconds_total counter\n")
 	appendf("ctserved_calibration_seconds_total %g\n", calibrate.BuildTime().Seconds())
 
+	fits := law.FitCounts()
 	appendf("# HELP ctserved_law_fits_total Word-count law fits by law family and outcome (process-wide).\n")
 	appendf("# TYPE ctserved_law_fits_total counter\n")
-	for _, c := range law.FitCounts() {
+	for _, c := range fits {
 		appendf("ctserved_law_fits_total{family=%q,outcome=\"fitted\"} %d\n", c.Family, c.Fitted)
 		appendf("ctserved_law_fits_total{family=%q,outcome=\"rejected\"} %d\n", c.Family, c.Rejected)
+	}
+	appendf("# HELP ctserved_law_certified_fits_total Fitted laws admitted from one certified probe, by law family (process-wide; part of outcome=\"fitted\").\n")
+	appendf("# TYPE ctserved_law_certified_fits_total counter\n")
+	for _, c := range fits {
+		appendf("ctserved_law_certified_fits_total{family=%q} %d\n", c.Family, c.Certified)
 	}
 
 	_, err := w.Write(b)
@@ -310,7 +316,7 @@ func (m *metrics) snapshot(srv *Server) *runstats.ServeStats {
 	s.Calibration.Seconds = calibrate.BuildTime().Seconds()
 	s.LawFits = map[string]runstats.LawFitStats{}
 	for _, c := range law.FitCounts() {
-		s.LawFits[c.Family] = runstats.LawFitStats{Fitted: c.Fitted, Rejected: c.Rejected}
+		s.LawFits[c.Family] = runstats.LawFitStats{Fitted: c.Fitted, Certified: c.Certified, Rejected: c.Rejected}
 	}
 	return s
 }

@@ -192,7 +192,8 @@ func TestCalibrationSecondsExported(t *testing.T) {
 }
 
 // A words-axis sweep fits laws; /metrics and /v1/stats report the
-// process-wide fit counts by family and outcome, and agree.
+// process-wide fit counts by family and outcome, and the certified part
+// of the fitted ones, and agree.
 func TestLawFitsExported(t *testing.T) {
 	s := newTestServer(t, Config{})
 	before := s.Snapshot().LawFits
@@ -213,12 +214,19 @@ func TestLawFitsExported(t *testing.T) {
 	if tr.Fitted <= before["transfer"].Fitted {
 		t.Errorf("transfer fits %d after a law sweep, %d before; want more", tr.Fitted, before["transfer"].Fitted)
 	}
+	if tr.Certified <= before["transfer"].Certified || tr.Certified > tr.Fitted {
+		t.Errorf("transfer certified fits %d (%d before) of %d fitted; want more, and at most the fitted",
+			tr.Certified, before["transfer"].Certified, tr.Fitted)
+	}
 	m := get(s, "/metrics").Body.String()
 	for outcome, n := range map[string]int64{"fitted": tr.Fitted, "rejected": tr.Rejected} {
 		line := fmt.Sprintf("\nctserved_law_fits_total{family=\"transfer\",outcome=%q} %d\n", outcome, n)
 		if !strings.Contains(m, line) {
 			t.Errorf("metrics missing %q", line[1:])
 		}
+	}
+	if line := fmt.Sprintf("\nctserved_law_certified_fits_total{family=\"transfer\"} %d\n", tr.Certified); !strings.Contains(m, line) {
+		t.Errorf("metrics missing %q", line[1:])
 	}
 }
 

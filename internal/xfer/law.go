@@ -30,12 +30,17 @@ import (
 // Applicability is decided by the memory system itself: processor-path
 // kinds use Memory.StreamPeriod (the fast-forward shape rule),
 // engine-path kinds use Memory.EnginePeriod (DRAM page phase only).
-// When the fit probes carry the FastForwarded certificate — the
-// fast-forward layer proved three consecutive recurring period
-// boundaries — the two near verification probes suffice; when they do
-// not (the engine path has no fast-forward, and some configurations
-// never satisfy its strict snapshot recurrence even though their
-// per-period cost is constant), the far probe must also match.
+//
+// A processor-path probe that fast-forwards issues memsim's recurrence
+// certificate (memsim.Cert): the fast-forward layer proved three
+// consecutive recurring period boundaries and knows the exact
+// per-period delta of every counter. When the first fit probe carries
+// one for the law's period, the second fit point is that probe advanced
+// by one delta and no other probe runs. Otherwise the first probe is
+// reused and the fit runs its remaining probes: the second fit probe,
+// the two near verification probes and the far probe (the engine path
+// has no fast-forward, and some configurations never satisfy its strict
+// snapshot recurrence even though their per-period cost is constant).
 // Anything else — indexed patterns (their permutation depends on the
 // word count), overlapping strides, non-steady-state configurations,
 // too-long periods — yields no Law and the caller falls back to engine
@@ -74,36 +79,47 @@ func (k Kind) String() string {
 const (
 	// lawC1 is the period count of the first fit probe (the second sits
 	// one period later), past the longest warm-up the fast-forward
-	// layer itself tolerates (ffMaxProbe = 12 boundaries).
+	// layer itself tolerates (ffMaxProbe = 12 boundaries), so that the
+	// first probe has jumped, and can carry a certificate, whenever its
+	// shape fast-forwards at all.
 	lawC1 = 16
 	// lawC3 and lawC4 are the bitwise verification probes. Coprime
 	// offsets from the fit points so an accidental two-point fit of a
 	// non-affine curve cannot survive both.
 	lawC3 = 19
 	lawC4 = 23
-	// lawC5 is the far verification probe required when the fit probes
-	// lack the FastForwarded certificate: it sits well beyond the fit
-	// region, inside the range big sweeps actually ask for.
+	// lawC5 is the far verification probe of an uncertified fit: it
+	// sits well beyond the fit region, inside the range big sweeps
+	// actually ask for.
 	lawC5 = 64
-	// lawMaxPeriod caps the structural period a law will probe; the fit
-	// costs ~75 periods of simulation, which must stay well under the
-	// cost of the big runs the law replaces.
+	// lawMaxPeriod caps the structural period a law will probe; an
+	// uncertified fit costs 139 periods of simulation (a certified one
+	// 16), which must stay well under the cost of the big runs the law
+	// replaces.
 	lawMaxPeriod = 4096
 )
 
+// probe is one law probe of a transfer's memory half: the run's result
+// and the recurrence certificate the run issued, if any.
+type probe struct {
+	res  memsim.Result
+	cert memsim.Cert
+}
+
 // memLaws is the law family of memory-system halves: results are
 // memsim.Results, extrapolated in integer femtoseconds and compared
-// bitwise; the far probe is waived when both fit probes carry the
-// fast-forward certificate. Its fits count as family "transfer".
-var memLaws = law.Register("transfer", law.Family[memsim.Result]{
+// bitwise; a first probe certified at the law's period admits the law
+// alone. Its fits count as family "transfer".
+var memLaws = law.Register("transfer", law.Family[probe]{
 	C1:     lawC1,
-	Verify: []int64{lawC3, lawC4},
-	Far:    lawC5,
-	Pair: func(r1, r2 memsim.Result) (ok, far bool) {
-		return true, !(r1.FastForwarded && r2.FastForwarded)
+	Verify: []int64{lawC3, lawC4, lawC5},
+	Predict: func(r1, r2 probe, n int64) probe {
+		return probe{res: memsim.PredictLinear(r1.res, r2.res, n)}
 	},
-	Predict: memsim.PredictLinear,
-	Equal:   func(pred, probe memsim.Result) bool { return pred == probe },
+	Equal: func(pred, p probe) bool { return pred.res == p.res },
+	Next: func(r1 probe, period int64) (probe, bool) {
+		return probe{r1.cert.Next(r1.res), r1.cert}, r1.cert.Period == period
+	},
 })
 
 // constRunner replays one precomputed memory-half result through the
@@ -184,7 +200,7 @@ type Law struct {
 	m    *machine.Machine
 	kind Kind
 	x, y pattern.Spec
-	fit  *law.Law[memsim.Result]
+	fit  *law.Law[probe]
 }
 
 // FitLaw probes, fits and verifies the law for word counts congruent to
@@ -203,8 +219,10 @@ func FitLawPeriod(m *machine.Machine, kind Kind, x, y pattern.Spec, period, resi
 	if period == 0 {
 		return nil
 	}
-	fit := memLaws.Fit(int64(period), int64(residue), func(words int64) (memsim.Result, bool) {
-		return memPart(memsim.MustNew(m.Mem), kind, x, y, int(words)), true
+	fit := memLaws.Fit(int64(period), int64(residue), func(words int64) (probe, bool) {
+		mem := memsim.MustNew(m.Mem)
+		res := memPart(mem, kind, x, y, int(words))
+		return probe{res, mem.Cert()}, true
 	})
 	if fit == nil {
 		return nil
@@ -237,19 +255,25 @@ func (l *Law) Eval(words int) (Result, error) {
 	if !l.Covers(words) {
 		return Result{}, fmt.Errorf("xfer: law %s %v/%v does not cover %d words", l.kind, l.x, l.y, words)
 	}
-	cr := constRunner{l.fit.At(int64(words))}
-	switch l.kind {
+	return replay(l.m, l.kind, l.x, l.y, l.fit.At(int64(words)).res, words)
+}
+
+// replay runs the post-math of a transfer of words payload words over
+// mem, the memory half's result for exactly that transfer.
+func replay(m *machine.Machine, kind Kind, x, y pattern.Spec, mem memsim.Result, words int) (Result, error) {
+	cr := constRunner{mem}
+	switch kind {
 	case KindCopy:
-		return CopyOn(l.m, cr, l.x, l.y, words)
+		return CopyOn(m, cr, x, y, words)
 	case KindLoadSend:
-		return LoadSendOn(l.m, cr, l.x, words)
+		return LoadSendOn(m, cr, x, words)
 	case KindFetchSend:
-		return FetchSendOn(l.m, cr, l.x, words)
+		return FetchSendOn(m, cr, x, words)
 	case KindRecvStore:
-		return RecvStoreOn(l.m, cr, l.y, words)
+		return RecvStoreOn(m, cr, y, words)
 	case KindRecvDeposit:
-		return RecvDepositOn(l.m, cr, l.y, words)
+		return RecvDepositOn(m, cr, y, words)
 	default:
-		return Result{}, fmt.Errorf("xfer: unknown transfer kind %v", l.kind)
+		return Result{}, fmt.Errorf("xfer: unknown transfer kind %v", kind)
 	}
 }
