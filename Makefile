@@ -89,6 +89,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 30s ./internal/netsim/
 	$(GO) test -fuzz 'FuzzCertifiedLawMatchesReference$$' -fuzztime 30s ./internal/xfer/
+	$(GO) test -fuzz 'FuzzReusedSimulatorMatchesFresh$$' -fuzztime 30s ./internal/machine/
 
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/model/
@@ -102,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 10s ./internal/netsim/
 	$(GO) test -fuzz 'FuzzCertifiedLawMatchesReference$$' -fuzztime 10s ./internal/xfer/
+	$(GO) test -fuzz 'FuzzReusedSimulatorMatchesFresh$$' -fuzztime 10s ./internal/machine/
 
 gofmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -109,6 +111,7 @@ gofmt-check:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 -run 'TestSimulatorPoolConcurrent$$' ./internal/machine/
 
 # ci mirrors .github/workflows/ci.yml locally: build/vet/test, gofmt,
 # race, the parallel experiment shape gate (metrics archived under

@@ -52,12 +52,18 @@ func (s *Schedule) BlocksAt(p int) int64 {
 // PhaseFlows expands phase p into netsim flows, with the phase's block
 // multiplier applied to bytesPerBlock.
 func (s *Schedule) PhaseFlows(p int, bytesPerBlock int64) []netsim.Flow {
+	return s.AppendPhaseFlows(make([]netsim.Flow, 0, len(s.Phases[p])), p, bytesPerBlock)
+}
+
+// AppendPhaseFlows appends PhaseFlows(p, bytesPerBlock) to buf and
+// returns the extended slice, so a caller expanding phase after phase
+// reuses one buffer.
+func (s *Schedule) AppendPhaseFlows(buf []netsim.Flow, p int, bytesPerBlock int64) []netsim.Flow {
 	bytes := bytesPerBlock * s.BlocksAt(p)
-	flows := make([]netsim.Flow, 0, len(s.Phases[p]))
 	for _, pr := range s.Phases[p] {
-		flows = append(flows, netsim.Flow{Src: pr.Src, Dst: pr.Dst, Bytes: bytes})
+		buf = append(buf, netsim.Flow{Src: pr.Src, Dst: pr.Dst, Bytes: bytes})
 	}
-	return flows
+	return buf
 }
 
 // Shift returns the cyclic-shift (rotation) schedule: in phase k every

@@ -66,8 +66,18 @@ func (p *Plan) Evaluate(m *machine.Machine, words int, engine bool) (Eval, error
 	if costs.err != nil {
 		return Eval{}, costs.err
 	}
-	net := netsim.MustNewNetwork(m.Topo, m.Net)
+	net, err := netsim.AcquireNetwork(m.Topo, m.Net)
+	if err != nil {
+		return Eval{}, err
+	}
+	defer net.Release()
 	bytesPerBlock := int64(words) * pattern.WordBytes
+	// One flow buffer, sized for the largest phase, serves every phase.
+	widest := 0
+	for _, ph := range p.Schedule.Phases {
+		widest = max(widest, len(ph))
+	}
+	flows := make([]netsim.Flow, 0, widest)
 
 	ev := Eval{
 		Phases:        len(p.Schedule.Phases),
@@ -76,7 +86,7 @@ func (p *Plan) Evaluate(m *machine.Machine, words int, engine bool) (Eval, error
 	}
 	var t sim.Time
 	for pi := range p.Schedule.Phases {
-		flows := p.Schedule.PhaseFlows(pi, bytesPerBlock)
+		flows = p.Schedule.AppendPhaseFlows(flows[:0], pi, bytesPerBlock)
 		ev.Messages += int64(len(flows))
 		ev.VolumeBlocks += int64(len(flows)) * p.Schedule.BlocksAt(pi)
 		cong := costs.congestion[pi]

@@ -1,9 +1,8 @@
 package comm
 
 import (
-	"fmt"
-
 	"ctcomm/internal/machine"
+	"ctcomm/internal/memsim"
 	"ctcomm/internal/pattern"
 	"ctcomm/internal/xfer"
 )
@@ -19,7 +18,7 @@ type Source interface {
 }
 
 // EngineSource returns the classic point-query Source: every transfer
-// is simulated in full on a fresh node of m.
+// is simulated in full on a memory in a fresh node's starting state.
 func EngineSource(m *machine.Machine) Source { return engineSource{m} }
 
 type engineSource struct{ m *machine.Machine }
@@ -29,22 +28,14 @@ func (e engineSource) Transfer(kind xfer.Kind, x, y pattern.Spec, words int) (xf
 	return res, false, err
 }
 
-// runEngine simulates one basic transfer on a fresh node — the
-// reference evaluation every other source must reproduce bit for bit.
+// runEngine simulates one basic transfer on a pooled memory in the
+// state a fresh node's starts in (memsim.Acquire) — the reference
+// evaluation every other source must reproduce bit for bit.
 func runEngine(m *machine.Machine, kind xfer.Kind, x, y pattern.Spec, words int) (xfer.Result, error) {
-	n := m.NewNode(0)
-	switch kind {
-	case xfer.KindCopy:
-		return xfer.Copy(n, x, y, words)
-	case xfer.KindLoadSend:
-		return xfer.LoadSend(n, x, words)
-	case xfer.KindFetchSend:
-		return xfer.FetchSend(n, x, words)
-	case xfer.KindRecvStore:
-		return xfer.RecvStore(n, y, words)
-	case xfer.KindRecvDeposit:
-		return xfer.RecvDeposit(n, y, words)
-	default:
-		return xfer.Result{}, fmt.Errorf("comm: unknown transfer kind %v", kind)
+	mem, err := memsim.Acquire(m.Mem)
+	if err != nil {
+		return xfer.Result{}, err
 	}
+	defer mem.Release()
+	return xfer.Run(m, mem, kind, x, y, words)
 }

@@ -18,7 +18,7 @@ import "ctcomm/internal/pattern"
 // This file holds the two memsim-side pieces of that contract: the
 // period of the engine (DMA/deposit) path, which has no fast-forward of
 // its own, and the integer-domain extrapolation of a fitted law.
-// StreamPeriod (ff.go) is the processor-path counterpart.
+// Config.StreamPeriod (ff.go) is the processor-path counterpart.
 
 // EnginePeriod returns the structural steady-state period, in payload
 // words, of an engine transfer over st (EngineRead / EngineWrite), or
@@ -28,15 +28,16 @@ import "ctcomm/internal/pattern"
 // whole multiple of PageBytes (claim/claimEngine costs depend on the
 // address only through its page, and engineRun resets freeAt, so state
 // at period boundaries recurs shifted by constant time and one page).
-func (m *Memory) EnginePeriod(st *pattern.Stream) int {
+// It reads only the configuration; nothing is simulated.
+func (c *Config) EnginePeriod(st *pattern.Stream) int {
 	if st == nil {
 		return 0
 	}
-	if st.Base()%int64(m.cfg.LineBytes) != 0 {
+	if st.Base()%int64(c.LineBytes) != 0 {
 		return 0
 	}
-	page := int64(m.cfg.PageBytes)
-	if page%int64(m.cfg.LineBytes) != 0 {
+	page := int64(c.PageBytes)
+	if page%int64(c.LineBytes) != 0 {
 		return 0
 	}
 	switch st.Spec().Kind() {

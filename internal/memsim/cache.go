@@ -19,7 +19,7 @@ type cache struct {
 	// the line number (addr/lineBytes) or -1, lru a monotonically
 	// increasing use stamp, and dirty marks lines modified under a
 	// write-back policy. Flat arrays keep a fresh cache to three
-	// allocations.
+	// allocations and let reset clear it in place.
 	tags  []int64
 	lru   []int64
 	dirty []bool
@@ -30,26 +30,36 @@ type cache struct {
 	evictions int64
 }
 
-func newCache(cfg *Config) *cache {
-	lines := cfg.CacheBytes / cfg.LineBytes
-	sets := lines / cfg.Ways
-	c := &cache{
-		lineBytes: cfg.LineBytes,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		setMask:   -1,
-		sets:      sets,
-		ways:      cfg.Ways,
-		tags:      make([]int64, lines),
-		lru:       make([]int64, lines),
-		dirty:     make([]bool, lines),
+// alloc sizes the tag store for lines cache lines; configure and reset
+// must follow before use.
+func (c *cache) alloc(lines int) {
+	c.tags = make([]int64, lines)
+	c.lru = make([]int64, lines)
+	c.dirty = make([]bool, lines)
+}
+
+// configure applies cfg's geometry, which must fill the allocated
+// lines exactly.
+func (c *cache) configure(cfg *Config) {
+	c.lineBytes = cfg.LineBytes
+	c.lineShift = uint(bits.TrailingZeros(uint(cfg.LineBytes)))
+	c.ways = cfg.Ways
+	c.sets = len(c.tags) / cfg.Ways
+	c.setMask = -1
+	if c.sets&(c.sets-1) == 0 {
+		c.setMask = int64(c.sets - 1)
 	}
-	if sets&(sets-1) == 0 {
-		c.setMask = int64(sets - 1)
-	}
+}
+
+// reset empties the cache and zeroes its stamp and counters.
+func (c *cache) reset() {
 	for i := range c.tags {
 		c.tags[i] = -1
 	}
-	return c
+	clear(c.lru)
+	clear(c.dirty)
+	c.stamp = 0
+	c.hits, c.misses, c.evictions = 0, 0, 0
 }
 
 // line maps a byte address to its line number. Addresses are

@@ -2,6 +2,16 @@ package memsim
 
 import "testing"
 
+// newCache returns an empty cache of cfg's geometry, as a Memory
+// built from cfg holds it.
+func newCache(cfg *Config) *cache {
+	c := &cache{}
+	c.alloc(cfg.CacheBytes / cfg.LineBytes)
+	c.configure(cfg)
+	c.reset()
+	return c
+}
+
 func newTestCache() *cache {
 	cfg := testConfig()
 	return newCache(&cfg)

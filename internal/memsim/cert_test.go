@@ -53,7 +53,7 @@ func TestCertNextIsTheNextRun(t *testing.T) {
 		certified := 0
 		for _, s := range certShapes() {
 			loads, stores := s.streams(8)
-			p := memsim.MustNew(m.Mem).StreamPeriod(loads, stores)
+			p := m.Mem.StreamPeriod(loads, stores)
 			if p == 0 || p > 4096 {
 				continue
 			}

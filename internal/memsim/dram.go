@@ -31,18 +31,16 @@ type dram struct {
 	rowMiss  int64
 }
 
-func newDRAM(cfg *Config) *dram {
-	return &dram{
-		pageBytes:    int64(cfg.PageBytes),
-		pageShift:    uint(bits.TrailingZeros(uint(cfg.PageBytes))),
-		rowHitFs:     toFs(cfg.RowHitNs),
-		rowMissFs:    toFs(cfg.RowMissNs),
-		wordFs:       toFs(cfg.WordNs),
-		writeOpFs:    toFs(cfg.WriteOpNs),
-		engineOpFs:   toFs(cfg.EngineOpNs),
-		postedCloses: cfg.PostedWriteClosesPage,
-		openPage:     -1,
-	}
+// configure applies cfg's DRAM timing; reset must follow before use.
+func (d *dram) configure(cfg *Config) {
+	d.pageBytes = int64(cfg.PageBytes)
+	d.pageShift = uint(bits.TrailingZeros(uint(cfg.PageBytes)))
+	d.rowHitFs = toFs(cfg.RowHitNs)
+	d.rowMissFs = toFs(cfg.RowMissNs)
+	d.wordFs = toFs(cfg.WordNs)
+	d.writeOpFs = toFs(cfg.WriteOpNs)
+	d.engineOpFs = toFs(cfg.EngineOpNs)
+	d.postedCloses = cfg.PostedWriteClosesPage
 }
 
 // page maps a byte address to its page number. Addresses are
@@ -129,6 +127,7 @@ func (d *dram) claimEngine(at int64, addr int64) (done int64) {
 // freeTime returns when the bank next becomes idle.
 func (d *dram) freeTime() int64 { return d.freeAt }
 
+// reset idles the bank, closes its page and zeroes its counters.
 func (d *dram) reset() {
 	d.freeAt = 0
 	d.openPage = -1

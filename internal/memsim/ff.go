@@ -115,19 +115,19 @@ func ffEligible(st *pattern.Stream, L int64, lineBytes int) (rounds int64, ok bo
 // rule: a pair is law-eligible at SOME length iff StreamPeriod > 0.
 // The disjointness check uses the given streams' footprints, so callers
 // extrapolating to longer runs must re-check overlap at the target
-// length.
-func (m *Memory) StreamPeriod(loads, stores *pattern.Stream) int {
-	if m.cfg.FastForward != FastForwardAuto {
+// length. It reads only the configuration; nothing is simulated.
+func (c *Config) StreamPeriod(loads, stores *pattern.Stream) int {
+	if c.FastForward != FastForwardAuto {
 		return 0
 	}
-	L := lcm64(lcm64(int64(m.cfg.CacheBytes), int64(m.cfg.PageBytes)), 16)
+	L := lcm64(lcm64(int64(c.CacheBytes), int64(c.PageBytes)), 16)
 	period := int64(1)
 	words := 0
 	for _, st := range [2]*pattern.Stream{loads, stores} {
 		if st == nil {
 			continue
 		}
-		r, ok := ffEligible(st, L, m.cfg.LineBytes)
+		r, ok := ffEligible(st, L, c.LineBytes)
 		if !ok {
 			return 0
 		}
@@ -157,7 +157,7 @@ func (m *Memory) StreamPeriod(loads, stores *pattern.Stream) int {
 // ffPlan decides whether the (loads, stores) pair is eligible for
 // fast-forward and returns the combined period in rounds, or 0.
 func (m *Memory) ffPlan(loads, stores *pattern.Stream) int {
-	period := m.StreamPeriod(loads, stores)
+	period := m.cfg.StreamPeriod(loads, stores)
 	if period == 0 {
 		return 0
 	}
@@ -248,9 +248,8 @@ func (a *ffLine) newer(b *ffLine) bool {
 // the cache's recurring form at the last boundary, and the set being
 // compared with it. Its sizes come from the configuration (queue
 // capacities, cache geometry). It is built on a memory's first probe —
-// memories that never probe, such as the shape checks of xfer.PeriodOf
-// and engine-only nodes, never pay for it — and reused by every later
-// run, so probing allocates nothing.
+// memories that never probe, such as engine-only nodes, never pay for
+// it — and kept by Reset and the pool, so probing allocates nothing.
 type ffState struct {
 	snaps [3]ffSnap
 	cache []ffLine
@@ -396,7 +395,7 @@ func (m *Memory) ffSnapshot(p *ffProbe, t int64, res *Result) bool {
 // stream footprint, or an untouched line at or ahead of a stream's
 // position inside its footprint.
 func (m *Memory) ffCacheState(p *ffProbe, s *ffSnap, compare bool) (ok, same bool) {
-	c, seg, stored := m.cache, m.ff.set, m.ff.cache
+	c, seg, stored := &m.cache, m.ff.set, m.ff.cache
 	same = compare
 	for base := 0; base < len(c.tags); base += c.ways {
 		n := 0
@@ -519,7 +518,7 @@ func (m *Memory) ffJump(p *ffProbe, n int64, t int64, res *Result) int64 {
 	res.Stores += d(ffLinStores)
 	res.PayloadBytes += d(ffLinPayload)
 
-	c := m.cache
+	c := &m.cache
 	dStamp := d(ffLinStamp)
 	dPos := [2]int64{d(ffLinPos), d(ffLinPos + 1)}
 	for i, tag := range c.tags {

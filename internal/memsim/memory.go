@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"ctcomm/internal/pattern"
+	"ctcomm/internal/sim"
 )
 
 // Internal time is kept in integer femtoseconds (1 ns = 1e6 fs). Every
@@ -126,8 +127,8 @@ const (
 type Memory struct {
 	cfg   Config
 	cost  costs
-	cache *cache
-	dram  *dram
+	cache cache
+	dram  dram
 
 	// Read-ahead (RDAL) stream-buffer state. Times in fs.
 	sbValid      bool
@@ -147,10 +148,28 @@ type Memory struct {
 	pfqLastAddr int64
 
 	// ff is the fast-forward probe's working state, built on the first
-	// probe (ff.go).
+	// probe (ff.go) and kept by Reset.
 	ff *ffState
 	// cert is the last run's recurrence certificate, if it issued one.
 	cert Cert
+}
+
+// geometry is what fixes the sizes of a Memory's buffers: its cache
+// lines and ways and its two queue capacities. Memories of one geometry
+// differ only in what configure re-applies, so the pool reuses them
+// across configurations.
+type geometry struct{ lines, ways, wbq, pfq int }
+
+func geometryOf(cfg *Config) geometry {
+	return geometry{cfg.CacheBytes / cfg.LineBytes, cfg.Ways, cfg.WBQEntries + 2, cfg.PFQDepth + 1}
+}
+
+// newMemory allocates the buffers of geometry g; configure must follow
+// before use.
+func newMemory(g geometry) *Memory {
+	m := &Memory{wbq: newRing(g.wbq), pfq: newRing(g.pfq)}
+	m.cache.alloc(g.lines)
+	return m
 }
 
 // New validates cfg and returns a fresh memory system.
@@ -158,21 +177,8 @@ func New(cfg Config) (*Memory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Memory{
-		cfg: cfg,
-		cost: costs{
-			issueLoadFs:  toFs(cfg.IssueLoadCy * cfg.ClockNs),
-			issueStoreFs: toFs(cfg.IssueStoreCy * cfg.ClockNs),
-			streamHitFs:  toFs(cfg.StreamHitCy * cfg.ClockNs),
-			busHalfFs:    toFs(cfg.BusOverheadNs / 2),
-			pfqOpFs:      toFs(cfg.PFQOpNs),
-		},
-		lastMissLine: -1 << 40,
-		wbq:          newRing(cfg.WBQEntries + 2),
-		pfq:          newRing(cfg.PFQDepth + 1),
-	}
-	m.cache = newCache(&m.cfg)
-	m.dram = newDRAM(&m.cfg)
+	m := newMemory(geometryOf(&cfg))
+	m.configure(cfg)
 	return m, nil
 }
 
@@ -185,6 +191,52 @@ func MustNew(cfg Config) *Memory {
 	return m
 }
 
+// pool holds idle memories by geometry for Acquire.
+var pool = sim.NewPool[geometry, *Memory]()
+
+// Acquire validates cfg and returns a memory in exactly the state
+// New(cfg) returns, reusing an idle memory of cfg's geometry when the
+// pool holds one: cfg — its timings, policies and Stats — is re-applied
+// on every acquire, so results and Stats attribution are those of a
+// fresh memory. A caller that runs one transfer and drops the memory
+// acquires it and hands it back with Release; a memory that outlives
+// one run (machine.Node) is built with New.
+func Acquire(cfg Config) (*Memory, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	g := geometryOf(&cfg)
+	m, ok := pool.Get(g)
+	if !ok {
+		m = newMemory(g)
+	}
+	m.configure(cfg)
+	return m, nil
+}
+
+// Release hands m back to Acquire's pool. The caller must not use m
+// afterwards.
+func (m *Memory) Release() {
+	m.cfg.Stats = nil // an idle memory keeps no caller's Stats alive
+	pool.Put(geometryOf(&m.cfg), m)
+}
+
+// configure applies cfg, which must be valid and of m's geometry, and
+// resets m: afterwards m is in exactly the state New(cfg) returns.
+func (m *Memory) configure(cfg Config) {
+	m.cfg = cfg
+	m.cost = costs{
+		issueLoadFs:  toFs(cfg.IssueLoadCy * cfg.ClockNs),
+		issueStoreFs: toFs(cfg.IssueStoreCy * cfg.ClockNs),
+		streamHitFs:  toFs(cfg.StreamHitCy * cfg.ClockNs),
+		busHalfFs:    toFs(cfg.BusOverheadNs / 2),
+		pfqOpFs:      toFs(cfg.PFQOpNs),
+	}
+	m.cache.configure(&m.cfg)
+	m.dram.configure(&m.cfg)
+	m.Reset()
+}
+
 // Config returns the configuration the memory was built with.
 func (m *Memory) Config() Config { return m.cfg }
 
@@ -192,17 +244,22 @@ func (m *Memory) Config() Config { return m.cfg }
 // the zero Cert (Period 0) when that run issued none.
 func (m *Memory) Cert() Cert { return m.cert }
 
-// Reset clears all cache, DRAM and queue state and rewinds time to zero.
+// Reset restores, in place and without allocating, exactly the state
+// New returns for the memory's configuration: an empty cache with
+// zeroed stamps and counters, an idle DRAM bank with no open page, an
+// unarmed read-ahead buffer, empty write and load queues, time zero
+// and no certificate. Only the fast-forward buffers survive (their
+// contents never outlive a run).
 func (m *Memory) Reset() {
-	m.cache = newCache(&m.cfg)
-	m.dram = newDRAM(&m.cfg)
-	m.sbValid = false
-	m.sbReady = 0
+	m.cache.reset()
+	m.dram.reset()
+	m.sbValid, m.sbLine, m.sbReady = false, 0, 0
 	m.lastMissLine = -1 << 40
-	m.wbOpen = false
-	m.wbq.clear()
-	m.pfq.clear()
+	m.wbOpen, m.wbLine, m.wbWords = false, 0, 0
+	m.wbq.reset()
+	m.pfq.reset()
 	m.pfqLastAddr = -1 << 40
+	m.cert = Cert{}
 }
 
 // InvalidateAll models a synchronization point: the T3D invalidates the

@@ -22,6 +22,13 @@ func (r *ring) len() int { return r.n }
 
 func (r *ring) clear() { r.head, r.n = 0, 0 }
 
+// reset empties the ring and zeroes its slots, the state newRing
+// returns.
+func (r *ring) reset() {
+	r.clear()
+	clear(r.buf)
+}
+
 // front returns the oldest entry; the ring must be non-empty.
 func (r *ring) front() int64 { return r.buf[r.head] }
 

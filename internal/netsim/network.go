@@ -34,16 +34,9 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	links := topo.Links()
-	ports := (topo.Nodes() + cfg.NodesPerPort - 1) / cfg.NodesPerPort
-	res := make([]sim.Resource, links+2*ports)
-	return &Network{
-		topo:  topo,
-		cfg:   cfg,
-		links: res[:links],
-		inj:   res[links : links+ports],
-		ej:    res[links+ports:],
-	}, nil
+	n := newNetwork(geometryOf(topo, &cfg))
+	n.topo, n.cfg = topo, cfg
+	return n, nil
 }
 
 // MustNewNetwork is NewNetwork for known-good configurations.
@@ -55,13 +48,68 @@ func MustNewNetwork(topo Topology, cfg Config) *Network {
 	return n
 }
 
+// geometry is what fixes the sizes of a Network's resources: the
+// topology's directed links and the network ports. Networks of one
+// geometry differ only in the topology and configuration
+// AcquireNetwork re-applies.
+type geometry struct{ links, ports int }
+
+func geometryOf(topo Topology, cfg *Config) geometry {
+	return geometry{topo.Links(), (topo.Nodes() + cfg.NodesPerPort - 1) / cfg.NodesPerPort}
+}
+
+// newNetwork allocates the idle resources of geometry g; one
+// allocation backs all three kinds.
+func newNetwork(g geometry) *Network {
+	res := make([]sim.Resource, g.links+2*g.ports)
+	return &Network{
+		links: res[:g.links],
+		inj:   res[g.links : g.links+g.ports],
+		ej:    res[g.links+g.ports:],
+	}
+}
+
+// pool holds idle networks by geometry for AcquireNetwork.
+var pool = sim.NewPool[geometry, *Network]()
+
+// AcquireNetwork validates cfg and returns a network in exactly the
+// state NewNetwork(topo, cfg) returns — every link and port idle and
+// never claimed — reusing an idle network of the same geometry when the
+// pool holds one. topo and cfg, its Stats and Hier included, are
+// re-applied on every acquire, so results and Stats attribution are
+// those of a fresh network. A caller that runs one evaluation and
+// drops the network acquires it and hands it back with Release.
+func AcquireNetwork(topo Topology, cfg Config) (*Network, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	g := geometryOf(topo, &cfg)
+	n, ok := pool.Get(g)
+	if !ok {
+		n = newNetwork(g)
+	}
+	n.topo, n.cfg = topo, cfg
+	n.Reset()
+	return n, nil
+}
+
+// Release hands n back to AcquireNetwork's pool. The caller must not
+// use n afterwards.
+func (n *Network) Release() {
+	// An idle network keeps no caller's topology, Stats or Hier alive.
+	n.topo, n.cfg = nil, Config{}
+	pool.Put(geometry{len(n.links), len(n.inj)}, n)
+}
+
 // Topology returns the network's topology.
 func (n *Network) Topology() Topology { return n.topo }
 
 // Config returns the network's configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Reset returns all links and ports to idle.
+// Reset returns all links and ports to idle and never claimed, in
+// place. The scratch buffers keep their capacity; they hold nothing
+// from one call to the next.
 func (n *Network) Reset() {
 	clear(n.links)
 	clear(n.inj)

@@ -48,31 +48,27 @@ func CongestionOf(topo Topology, flows []Flow, nodesPerPort int) float64 {
 	if nodesPerPort < 1 {
 		nodesPerPort = 1
 	}
-	linkLoad := make(map[int]int)
-	var route []int
 	ports := (topo.Nodes() + nodesPerPort - 1) / nodesPerPort
-	inj := make([]int, ports)
-	ej := make([]int, ports)
+	// One counter per directed link, then per injection and per
+	// ejection port.
+	load := make([]int, topo.Links()+2*ports)
+	links, inj, ej := load[:topo.Links()], load[topo.Links():topo.Links()+ports], load[topo.Links()+ports:]
+	var route []int
 	max := 1
+	count := func(c []int, i int) {
+		c[i]++
+		if c[i] > max {
+			max = c[i]
+		}
+	}
 	for _, f := range flows {
 		route = topo.AppendRoute(route[:0], f.Src, f.Dst)
 		for _, l := range route {
-			linkLoad[l]++
-			if linkLoad[l] > max {
-				max = linkLoad[l]
-			}
+			count(links, l)
 		}
 		if f.Src != f.Dst {
-			p := f.Src / nodesPerPort
-			inj[p]++
-			if inj[p] > max {
-				max = inj[p]
-			}
-			q := f.Dst / nodesPerPort
-			ej[q]++
-			if ej[q] > max {
-				max = ej[q]
-			}
+			count(inj, f.Src/nodesPerPort)
+			count(ej, f.Dst/nodesPerPort)
 		}
 	}
 	return float64(max)

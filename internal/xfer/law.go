@@ -27,9 +27,10 @@ import (
 // to running the engine, because the post-math consumes only fields
 // derived from the extrapolated integer fs values.
 //
-// Applicability is decided by the memory system itself: processor-path
-// kinds use Memory.StreamPeriod (the fast-forward shape rule),
-// engine-path kinds use Memory.EnginePeriod (DRAM page phase only).
+// Applicability is decided by the memory system's configuration:
+// processor-path kinds use Config.StreamPeriod (the fast-forward shape
+// rule), engine-path kinds use Config.EnginePeriod (DRAM page phase
+// only).
 //
 // A processor-path probe that fast-forwards issues memsim's recurrence
 // certificate (memsim.Cert): the fast-forward layer proved three
@@ -122,17 +123,6 @@ var memLaws = law.Register("transfer", law.Family[probe]{
 	},
 })
 
-// constRunner replays one precomputed memory-half result through the
-// post-math of a transfer. It ignores its stream arguments by design:
-// the result was fitted for the exact schedule those streams describe.
-type constRunner struct{ res memsim.Result }
-
-func (c constRunner) RunStream(loads, stores *pattern.Stream, policy memsim.InterleavePolicy) memsim.Result {
-	return c.res
-}
-func (c constRunner) EngineRead(st *pattern.Stream) memsim.Result  { return c.res }
-func (c constRunner) EngineWrite(st *pattern.Stream) memsim.Result { return c.res }
-
 // PeriodOf returns the structural steady-state period of the transfer's
 // memory half in payload words, or 0 when the shape admits no affine
 // law on machine m. Pure address/shape math; nothing is simulated.
@@ -168,24 +158,23 @@ func PeriodOf(m *machine.Machine, kind Kind, x, y pattern.Spec) int {
 	// length-independent. 8 words keeps indexed-permutation and
 	// footprint costs nil.
 	const w = 8
-	mem := memsim.MustNew(m.Mem)
 	var p int
 	switch kind {
 	case KindCopy:
 		rs, ws := streams(x, y, w)
-		p = mem.StreamPeriod(rs, ws.ForWrites())
+		p = m.Mem.StreamPeriod(rs, ws.ForWrites())
 	case KindLoadSend:
 		rs, _ := streams(x, pattern.Contig(), w)
-		p = mem.StreamPeriod(rs, nil)
+		p = m.Mem.StreamPeriod(rs, nil)
 	case KindFetchSend:
 		rs, _ := streams(x, pattern.Contig(), w)
-		p = mem.EnginePeriod(rs)
+		p = m.Mem.EnginePeriod(rs)
 	case KindRecvStore:
 		_, ws := streams(pattern.Contig(), y, w)
-		p = mem.StreamPeriod(nil, ws.ForWrites().NoIndexOverhead())
+		p = m.Mem.StreamPeriod(nil, ws.ForWrites().NoIndexOverhead())
 	case KindRecvDeposit:
 		_, ws := streams(pattern.Contig(), y, w)
-		p = mem.EnginePeriod(ws)
+		p = m.Mem.EnginePeriod(ws)
 	}
 	if p > lawMaxPeriod {
 		return 0
@@ -206,9 +195,10 @@ type Law struct {
 // FitLaw probes, fits and verifies the law for word counts congruent to
 // residue mod the shape's period. It returns nil when the shape is not
 // law-eligible or when any probe fails to certify steady state — the
-// caller must then evaluate with the engine. Probes run on fresh
-// memories exactly like the engine path does, so a fitted law stands in
-// for engine runs bit for bit.
+// caller must then evaluate with the engine. Probes run on pooled
+// memories in the state a fresh one starts in (memsim.Acquire), exactly
+// like the engine path, so a fitted law stands in for engine runs bit
+// for bit.
 func FitLaw(m *machine.Machine, kind Kind, x, y pattern.Spec, residue int) *Law {
 	return FitLawPeriod(m, kind, x, y, PeriodOf(m, kind, x, y), residue)
 }
@@ -220,7 +210,11 @@ func FitLawPeriod(m *machine.Machine, kind Kind, x, y pattern.Spec, period, resi
 		return nil
 	}
 	fit := memLaws.Fit(int64(period), int64(residue), func(words int64) (probe, bool) {
-		mem := memsim.MustNew(m.Mem)
+		mem, err := memsim.Acquire(m.Mem)
+		if err != nil {
+			return probe{}, false
+		}
+		defer mem.Release()
 		res := memPart(mem, kind, x, y, int(words))
 		return probe{res, mem.Cert()}, true
 	})
@@ -259,21 +253,11 @@ func (l *Law) Eval(words int) (Result, error) {
 }
 
 // replay runs the post-math of a transfer of words payload words over
-// mem, the memory half's result for exactly that transfer.
+// mem, the memory half's result for exactly that transfer. It builds no
+// stream and allocates nothing.
 func replay(m *machine.Machine, kind Kind, x, y pattern.Spec, mem memsim.Result, words int) (Result, error) {
-	cr := constRunner{mem}
-	switch kind {
-	case KindCopy:
-		return CopyOn(m, cr, x, y, words)
-	case KindLoadSend:
-		return LoadSendOn(m, cr, x, words)
-	case KindFetchSend:
-		return FetchSendOn(m, cr, x, words)
-	case KindRecvStore:
-		return RecvStoreOn(m, cr, y, words)
-	case KindRecvDeposit:
-		return RecvDepositOn(m, cr, y, words)
-	default:
-		return Result{}, fmt.Errorf("xfer: unknown transfer kind %v", kind)
+	if err := admit(m, kind, x, y); err != nil {
+		return Result{}, err
 	}
+	return finish(m, kind, x, y, words, mem), nil
 }

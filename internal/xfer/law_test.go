@@ -184,3 +184,34 @@ func TestLawFallbackBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestLawEvalAllocatesNothing pins that a law answer is pure
+// arithmetic: no stream, no boxed runner, no allocation, for every
+// kind and shape of lawKinds on every profile.
+func TestLawEvalAllocatesNothing(t *testing.T) {
+	fitted := 0
+	for _, m := range machine.AllProfiles() {
+		for _, tc := range lawKinds() {
+			p := PeriodOf(m, tc.kind, tc.x, tc.y)
+			if p == 0 {
+				continue
+			}
+			law := FitLaw(m, tc.kind, tc.x, tc.y, 1%p)
+			if law == nil {
+				continue
+			}
+			fitted++
+			words := 64*p + 1%p
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, err := law.Eval(words); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s %v %v/%v: Eval allocates %.0f times, want 0", m.Name, tc.kind, tc.x, tc.y, allocs)
+			}
+		}
+	}
+	if fitted == 0 {
+		t.Fatal("no law fitted")
+	}
+}

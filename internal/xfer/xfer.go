@@ -13,10 +13,9 @@
 // the composition rules of the model need.
 //
 // Every transfer splits into a memory-system half (exact integer-fs
-// simulation, behind the MemRunner seam) and a float post-math half
-// (port costs, NI clamps, engine setup). The *On variants expose the
-// seam so the analytic sweep layer (law.go) can substitute an
-// extrapolated memsim.Result and still run the identical post-math,
+// simulation, memPart) and a float post-math half (port costs, NI
+// clamps, engine setup, finish). The analytic sweep layer (law.go)
+// feeds an extrapolated memsim.Result to the identical post-math,
 // which is what makes analytic results bit-identical to engine runs.
 package xfer
 
@@ -39,16 +38,6 @@ type Result struct {
 
 // MBps returns payload throughput in MB/s.
 func (r Result) MBps() float64 { return memsim.MBps(r.PayloadBytes, r.ElapsedNs) }
-
-// MemRunner is the memory-system backend of a basic transfer: the
-// subset of *memsim.Memory the transfer functions drive. The analytic
-// law layer substitutes a constant-result implementation to replay an
-// extrapolated steady-state run through the identical post-math.
-type MemRunner interface {
-	RunStream(loads, stores *pattern.Stream, policy memsim.InterleavePolicy) memsim.Result
-	EngineRead(st *pattern.Stream) memsim.Result
-	EngineWrite(st *pattern.Stream) memsim.Result
-}
 
 // Default buffer placement: source, destination and index regions live
 // in distinct memory areas so streams do not alias.
@@ -79,21 +68,7 @@ func streams(read, write pattern.Spec, words int) (r, w *pattern.Stream) {
 // access they serve — the unrolled, optimally scheduled load/store loop
 // of the xCy copy (memsim.InterleaveWordwise).
 func Copy(n *machine.Node, read, write pattern.Spec, words int) (Result, error) {
-	return CopyOn(n.M, n.Mem, read, write, words)
-}
-
-// CopyOn is Copy with an explicit memory backend.
-func CopyOn(m *machine.Machine, mem MemRunner, read, write pattern.Spec, words int) (Result, error) {
-	if !read.IsMemory() || !write.IsMemory() {
-		return Result{}, fmt.Errorf("xfer: Copy requires memory patterns, got %v -> %v", read, write)
-	}
-	res := memPart(mem, KindCopy, read, write, words)
-	return Result{
-		PayloadBytes: int64(words) * pattern.WordBytes,
-		ElapsedNs:    res.ElapsedNs,
-		CPUNs:        res.ElapsedNs, // the processor drives the whole copy
-		DRAMNs:       res.DRAMBusyNs,
-	}, nil
+	return Run(n.M, n.Mem, KindCopy, read, write, words)
 }
 
 // LoadSend simulates xS0: the processor loads words with pattern read
@@ -101,122 +76,134 @@ func CopyOn(m *machine.Machine, mem MemRunner, read, write pattern.Spec, words i
 // processor time; the overall rate is additionally capped by the NI
 // injection bandwidth.
 func LoadSend(n *machine.Node, read pattern.Spec, words int) (Result, error) {
-	return LoadSendOn(n.M, n.Mem, read, words)
-}
-
-// LoadSendOn is LoadSend with an explicit memory backend.
-func LoadSendOn(m *machine.Machine, mem MemRunner, read pattern.Spec, words int) (Result, error) {
-	if !read.IsMemory() {
-		return Result{}, fmt.Errorf("xfer: LoadSend requires a memory read pattern, got %v", read)
-	}
-	res := memPart(mem, KindLoadSend, read, pattern.Spec{}, words)
-	elapsed := res.ElapsedNs + float64(words)*m.NI.PortStoreNs
-	payload := int64(words) * pattern.WordBytes
-	if lim := float64(payload) * 1e3 / m.NI.InjectMBps; elapsed < lim {
-		elapsed = lim
-	}
-	return Result{
-		PayloadBytes: payload,
-		ElapsedNs:    elapsed,
-		CPUNs:        elapsed,
-		DRAMNs:       res.DRAMBusyNs,
-	}, nil
+	return Run(n.M, n.Mem, KindLoadSend, read, pattern.Spec{}, words)
 }
 
 // FetchSend simulates xF0: a fetch engine (DMA) reads memory in the
 // background and feeds the network. It fails if the node has no engine
 // or the engine cannot handle the pattern.
 func FetchSend(n *machine.Node, read pattern.Spec, words int) (Result, error) {
-	return FetchSendOn(n.M, n.Mem, read, words)
-}
-
-// FetchSendOn is FetchSend with an explicit memory backend.
-func FetchSendOn(m *machine.Machine, mem MemRunner, read pattern.Spec, words int) (Result, error) {
-	if !m.Fetch.Supports(read) {
-		return Result{}, fmt.Errorf("xfer: %s fetch engine cannot read pattern %v", m.Name, read)
-	}
-	res := memPart(mem, KindFetchSend, read, pattern.Spec{}, words)
-	payload := int64(words) * pattern.WordBytes
-	elapsed := res.ElapsedNs
-	if lim := float64(payload) * 1e3 / m.Fetch.RateMBps; elapsed < lim {
-		elapsed = lim
-	}
-	if lim := float64(payload) * 1e3 / m.NI.InjectMBps; elapsed < lim {
-		elapsed = lim
-	}
-	rs, _ := streams(read, pattern.Contig(), words)
-	cpu := m.Fetch.SetupNs + float64(pages(rs, m.Mem.PageBytes))*m.Fetch.KickNs
-	return Result{
-		PayloadBytes: payload,
-		ElapsedNs:    elapsed + cpu, // setup/kicks serialize with the stream
-		CPUNs:        cpu,
-		DRAMNs:       res.DRAMBusyNs,
-		EngineNs:     elapsed,
-	}, nil
+	return Run(n.M, n.Mem, KindFetchSend, read, pattern.Spec{}, words)
 }
 
 // RecvStore simulates 0Ry: the processor reads incoming words from the
 // network port and stores them with pattern write. Addresses arrive with
 // the data (or are generated locally), so no index overhead loads occur.
 func RecvStore(n *machine.Node, write pattern.Spec, words int) (Result, error) {
-	return RecvStoreOn(n.M, n.Mem, write, words)
-}
-
-// RecvStoreOn is RecvStore with an explicit memory backend.
-func RecvStoreOn(m *machine.Machine, mem MemRunner, write pattern.Spec, words int) (Result, error) {
-	if !write.IsMemory() {
-		return Result{}, fmt.Errorf("xfer: RecvStore requires a memory write pattern, got %v", write)
-	}
-	res := memPart(mem, KindRecvStore, pattern.Spec{}, write, words)
-	elapsed := res.ElapsedNs + float64(words)*m.NI.PortLoadNs
-	payload := int64(words) * pattern.WordBytes
-	if lim := float64(payload) * 1e3 / m.NI.EjectMBps; elapsed < lim {
-		elapsed = lim
-	}
-	return Result{
-		PayloadBytes: payload,
-		ElapsedNs:    elapsed,
-		CPUNs:        elapsed,
-		DRAMNs:       res.DRAMBusyNs,
-	}, nil
+	return Run(n.M, n.Mem, KindRecvStore, pattern.Spec{}, write, words)
 }
 
 // RecvDeposit simulates 0Dy: the deposit engine takes address-data pairs
 // (or a contiguous block) off the network and stores them in the
 // background. It fails if the engine cannot handle the pattern.
 func RecvDeposit(n *machine.Node, write pattern.Spec, words int) (Result, error) {
-	return RecvDepositOn(n.M, n.Mem, write, words)
+	return Run(n.M, n.Mem, KindRecvDeposit, pattern.Spec{}, write, words)
 }
 
-// RecvDepositOn is RecvDeposit with an explicit memory backend.
-func RecvDepositOn(m *machine.Machine, mem MemRunner, write pattern.Spec, words int) (Result, error) {
-	if !m.Deposit.Supports(write) {
-		return Result{}, fmt.Errorf("xfer: %s deposit engine cannot write pattern %v", m.Name, write)
+// Run simulates one basic transfer of words payload words on mem, the
+// memory system of a node of m. x is the read-side pattern (Copy,
+// LoadSend, FetchSend), y the write-side pattern (Copy, RecvStore,
+// RecvDeposit); the unused side is ignored.
+func Run(m *machine.Machine, mem *memsim.Memory, kind Kind, x, y pattern.Spec, words int) (Result, error) {
+	if err := admit(m, kind, x, y); err != nil {
+		return Result{}, err
 	}
-	res := memPart(mem, KindRecvDeposit, pattern.Spec{}, write, words)
+	return finish(m, kind, x, y, words, memPart(mem, kind, x, y, words)), nil
+}
+
+// admit reports why m cannot run the transfer at all, or nil.
+func admit(m *machine.Machine, kind Kind, x, y pattern.Spec) error {
+	switch kind {
+	case KindCopy:
+		if !x.IsMemory() || !y.IsMemory() {
+			return fmt.Errorf("xfer: Copy requires memory patterns, got %v -> %v", x, y)
+		}
+	case KindLoadSend:
+		if !x.IsMemory() {
+			return fmt.Errorf("xfer: LoadSend requires a memory read pattern, got %v", x)
+		}
+	case KindFetchSend:
+		if !m.Fetch.Supports(x) {
+			return fmt.Errorf("xfer: %s fetch engine cannot read pattern %v", m.Name, x)
+		}
+	case KindRecvStore:
+		if !y.IsMemory() {
+			return fmt.Errorf("xfer: RecvStore requires a memory write pattern, got %v", y)
+		}
+	case KindRecvDeposit:
+		if !m.Deposit.Supports(y) {
+			return fmt.Errorf("xfer: %s deposit engine cannot write pattern %v", m.Name, y)
+		}
+	default:
+		return fmt.Errorf("xfer: unknown transfer kind %v", kind)
+	}
+	return nil
+}
+
+// finish is the post-math of an admitted transfer: its Result from
+// res, the memory half's result for exactly that transfer. It reads
+// the patterns only for the pages an engine side touches, so a law
+// answer (law.go) replays it without building a stream.
+func finish(m *machine.Machine, kind Kind, x, y pattern.Spec, words int, res memsim.Result) Result {
 	payload := int64(words) * pattern.WordBytes
-	elapsed := res.ElapsedNs
-	if lim := float64(payload) * 1e3 / m.NI.EjectMBps; elapsed < lim {
-		elapsed = lim
+	switch kind {
+	case KindCopy:
+		return Result{
+			PayloadBytes: payload,
+			ElapsedNs:    res.ElapsedNs,
+			CPUNs:        res.ElapsedNs, // the processor drives the whole copy
+			DRAMNs:       res.DRAMBusyNs,
+		}
+	case KindLoadSend:
+		elapsed := res.ElapsedNs + float64(words)*m.NI.PortStoreNs
+		if lim := float64(payload) * 1e3 / m.NI.InjectMBps; elapsed < lim {
+			elapsed = lim
+		}
+		return Result{PayloadBytes: payload, ElapsedNs: elapsed, CPUNs: elapsed, DRAMNs: res.DRAMBusyNs}
+	case KindFetchSend:
+		elapsed := res.ElapsedNs
+		if lim := float64(payload) * 1e3 / m.Fetch.RateMBps; elapsed < lim {
+			elapsed = lim
+		}
+		if lim := float64(payload) * 1e3 / m.NI.InjectMBps; elapsed < lim {
+			elapsed = lim
+		}
+		cpu := m.Fetch.SetupNs + float64(pages(x, words, m.Mem.PageBytes))*m.Fetch.KickNs
+		return Result{
+			PayloadBytes: payload,
+			ElapsedNs:    elapsed + cpu, // setup/kicks serialize with the stream
+			CPUNs:        cpu,
+			DRAMNs:       res.DRAMBusyNs,
+			EngineNs:     elapsed,
+		}
+	case KindRecvStore:
+		elapsed := res.ElapsedNs + float64(words)*m.NI.PortLoadNs
+		if lim := float64(payload) * 1e3 / m.NI.EjectMBps; elapsed < lim {
+			elapsed = lim
+		}
+		return Result{PayloadBytes: payload, ElapsedNs: elapsed, CPUNs: elapsed, DRAMNs: res.DRAMBusyNs}
+	default: // KindRecvDeposit
+		elapsed := res.ElapsedNs
+		if lim := float64(payload) * 1e3 / m.NI.EjectMBps; elapsed < lim {
+			elapsed = lim
+		}
+		cpu := m.Deposit.SetupNs + float64(pages(y, words, m.Mem.PageBytes))*m.Deposit.KickNs
+		return Result{
+			PayloadBytes: payload,
+			ElapsedNs:    elapsed + cpu,
+			CPUNs:        cpu,
+			DRAMNs:       res.DRAMBusyNs,
+			EngineNs:     elapsed,
+		}
 	}
-	_, ws := streams(pattern.Contig(), write, words)
-	cpu := m.Deposit.SetupNs + float64(pages(ws, m.Mem.PageBytes))*m.Deposit.KickNs
-	return Result{
-		PayloadBytes: payload,
-		ElapsedNs:    elapsed + cpu,
-		CPUNs:        cpu,
-		DRAMNs:       res.DRAMBusyNs,
-		EngineNs:     elapsed,
-	}, nil
 }
 
 // memPart runs the memory-system half of one basic transfer. Stream
-// construction lives here, in ONE place, so the engine path, the law
-// prober and the analytic replay all drive byte-identical schedules.
-// x is the read-side pattern (Copy, LoadSend, FetchSend), y the
-// write-side pattern (Copy, RecvStore, RecvDeposit); the unused side is
-// ignored.
-func memPart(mem MemRunner, kind Kind, x, y pattern.Spec, words int) memsim.Result {
+// construction lives here, in ONE place, so the engine path and the law
+// prober drive byte-identical schedules. x is the read-side pattern
+// (Copy, LoadSend, FetchSend), y the write-side pattern (Copy,
+// RecvStore, RecvDeposit); the unused side is ignored.
+func memPart(mem *memsim.Memory, kind Kind, x, y pattern.Spec, words int) memsim.Result {
 	switch kind {
 	case KindCopy:
 		rs, ws := streams(x, y, words)
@@ -239,10 +226,16 @@ func memPart(mem MemRunner, kind Kind, x, y pattern.Spec, words int) memsim.Resu
 	}
 }
 
-// pages returns how many DRAM pages the stream touches (the unit of
-// "kick" attention restricted Paragon engines need).
-func pages(st *pattern.Stream, pageBytes int) int64 {
-	fp := st.Footprint()
+// pages returns how many DRAM pages an engine side of words payload
+// words in pattern spec touches (the unit of "kick" attention
+// restricted Paragon engines need), as streams lays the side out. An
+// indexed side permutes its own word offsets (pattern.Permutation), so
+// it spans exactly words words.
+func pages(spec pattern.Spec, words, pageBytes int) int64 {
+	fp := int64(words) * pattern.WordBytes
+	if spec.Kind() != pattern.KindIndexed {
+		fp = pattern.NewStream(spec, 0, words).Footprint()
+	}
 	if fp == 0 {
 		return 0
 	}
