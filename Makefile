@@ -90,6 +90,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 30s ./internal/netsim/
 	$(GO) test -fuzz 'FuzzCertifiedLawMatchesReference$$' -fuzztime 30s ./internal/xfer/
 	$(GO) test -fuzz 'FuzzReusedSimulatorMatchesFresh$$' -fuzztime 30s ./internal/machine/
+	$(GO) test -fuzz 'FuzzPlanMatchesReference$$' -fuzztime 30s ./internal/distrib/
 
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/model/
@@ -104,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 10s ./internal/netsim/
 	$(GO) test -fuzz 'FuzzCertifiedLawMatchesReference$$' -fuzztime 10s ./internal/xfer/
 	$(GO) test -fuzz 'FuzzReusedSimulatorMatchesFresh$$' -fuzztime 10s ./internal/machine/
+	$(GO) test -fuzz 'FuzzPlanMatchesReference$$' -fuzztime 10s ./internal/distrib/
 
 gofmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

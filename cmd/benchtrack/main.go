@@ -50,6 +50,8 @@ var table = []row{
 	{"BenchmarkRouterMixed", "./internal/router/", "BENCH_serve.json", nil},
 	{"BenchmarkFit", "./internal/calibrate/", "BENCH_fit.json", nil},
 	{"BenchmarkFitLaw", "./internal/xfer/", "BENCH_fit.json", nil},
+	{"BenchmarkPlanBlockToCyclic", "./internal/distrib/", "BENCH_plan.json", nil},
+	{"BenchmarkPlanExecute", "./internal/distrib/", "BENCH_plan.json", nil},
 	{"BenchmarkCollectivePlan", "./internal/collective/", "BENCH_collective.json", &gate{"ns_per_op", false, 2.0}},
 	// Losing the words laws costs this sweep two orders of magnitude.
 	{"BenchmarkCollectiveSweep", "./internal/sweep/", "BENCH_collective.json", &gate{"rows_per_sec", true, 0.75}},

@@ -27,8 +27,13 @@ import (
 // CYCLIC, CYCLIC(b), or an explicit irregular owner array).
 type Distribution = distrib.Distribution
 
-// Transfer is one node-to-node movement of a redistribution plan, with
-// its classified access patterns.
+// Transfer is one node-to-node movement of a redistribution plan, held
+// symbolically: endpoints, word count (Words), the classified access
+// patterns (Src, Dst) and each side's first local offset. SrcOffsets
+// and DstOffsets regenerate the local offsets from the patterns. A
+// Transfer comes only from the planners (PlanRedistribution,
+// PlanRemap2D, PlanTranspose): one written as a literal carries no words, and
+// PriceRedistribution rejects it.
 type Transfer = distrib.Transfer
 
 // CommReport accumulates simulated communication cost.
@@ -50,7 +55,8 @@ func BlockCyclicDist(n, p, b int) (Distribution, error) { return distrib.NewBloc
 func PlanRedistribution(src, dst Distribution) ([]Transfer, error) { return distrib.Plan(src, dst) }
 
 // PriceRedistribution times a redistribution plan on the simulated
-// machine with the given communication style.
+// machine with the given communication style. It rejects a transfer
+// that did not come from a planner.
 func PriceRedistribution(m *Machine, plan []Transfer, style Style) (CommReport, error) {
 	return distrib.Execute(m, plan, distrib.ExecuteOptions{Style: style})
 }

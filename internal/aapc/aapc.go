@@ -154,11 +154,18 @@ func (s *Schedule) Validate() error {
 }
 
 // PhaseCongestion returns the congestion factor of every phase on the
-// topology (including shared-port effects).
+// topology (including shared-port effects), as netsim.CongestionOf of
+// the phase's flows. The phases are counted one after another in one
+// netsim.LinkLoad.
 func (s *Schedule) PhaseCongestion(topo netsim.Topology, nodesPerPort int) []float64 {
 	out := make([]float64, len(s.Phases))
-	for i := range s.Phases {
-		out[i] = netsim.CongestionOf(topo, s.PhaseFlows(i, 1), nodesPerPort)
+	load := netsim.NewLinkLoad(topo, nodesPerPort)
+	for i, phase := range s.Phases {
+		load.Reset()
+		for _, pr := range phase {
+			load.Add(pr.Src, pr.Dst)
+		}
+		out[i] = load.Congestion()
 	}
 	return out
 }

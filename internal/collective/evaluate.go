@@ -123,15 +123,15 @@ func (p *Plan) Evaluate(m *machine.Machine, words int, engine bool) (Eval, error
 
 // planCosts are a plan's words-invariant costs on one machine.
 type planCosts struct {
-	congestion []float64 // per phase, as netsim.CongestionOf
+	congestion []float64 // per phase, as aapc.Schedule.PhaseCongestion
 	separator  sim.Time  // best barrier plus library-call overhead
 	err        error     // the barrier model's rejection, if any
 }
 
 // machineCosts returns the plan's words-invariant costs on m, computed
-// once per (plan, machine) and cached on the plan: CongestionOf counts
-// flows per link, injection and ejection port and never looks at flow
-// sizes, and the separator depends on the machine and node count
+// once per (plan, machine) and cached on the plan: PhaseCongestion
+// counts every phase's flows per link, injection and ejection port in
+// one counter buffer and never looks at flow sizes, and the separator depends on the machine and node count
 // alone, so the words-law probes and every word count of a sweep share
 // one computation. Safe for concurrent evaluators.
 func (p *Plan) machineCosts(m *machine.Machine) planCosts {
@@ -140,14 +140,9 @@ func (p *Plan) machineCosts(m *machine.Machine) planCosts {
 		if err != nil {
 			return planCosts{err: fmt.Errorf("%w: %v", ErrBadSpec, err)}
 		}
-		c := planCosts{
-			congestion: make([]float64, len(p.Schedule.Phases)),
+		return planCosts{
+			congestion: p.Schedule.PhaseCongestion(m.Topo, m.Net.NodesPerPort),
 			separator:  sim.Time(barrier + m.LibOverheadNs),
 		}
-		for pi := range p.Schedule.Phases {
-			// Probe flows at one byte per block: congestion is size-blind.
-			c.congestion[pi] = netsim.CongestionOf(m.Topo, p.Schedule.PhaseFlows(pi, 1), m.Net.NodesPerPort)
-		}
-		return c
 	})
 }

@@ -135,3 +135,40 @@ func TestPhaseCongestionCached(t *testing.T) {
 		}
 	}
 }
+
+// TestMachineCostsOneCounterBuffer: a plan's words-invariant costs
+// count every phase in one link-load buffer, so a fifteen-phase
+// all-to-all allocates exactly what a one-phase shift over the same
+// nodes does, and its congestions equal CongestionOf phase by phase.
+func TestMachineCostsOneCounterBuffer(t *testing.T) {
+	m := machine.T3D()
+	const nodes, runs = 16, 5
+	allocs := func(op Op) (float64, *Plan) {
+		plans := make([]*Plan, runs+1) // machineCosts caches per plan: a fresh one per run
+		for i := range plans {
+			p, err := New(op, Pairwise, nodes, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans[i] = p
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			plans[i].machineCosts(m)
+			i++
+		}), plans[0]
+	}
+	one, shift := allocs(Shift)
+	many, a2a := allocs(AllToAll)
+	if len(shift.Schedule.Phases) != 1 || len(a2a.Schedule.Phases) != nodes-1 {
+		t.Fatalf("fixture: %d and %d phases", len(shift.Schedule.Phases), len(a2a.Schedule.Phases))
+	}
+	if one != many {
+		t.Errorf("machineCosts allocates %v for one phase, %v for %d", one, many, nodes-1)
+	}
+	for pi, got := range a2a.machineCosts(m).congestion {
+		if want := netsim.CongestionOf(m.Topo, a2a.Schedule.PhaseFlows(pi, 1), m.Net.NodesPerPort); got != want {
+			t.Errorf("phase %d: congestion %v, CongestionOf %v", pi, got, want)
+		}
+	}
+}

@@ -1,61 +1,183 @@
 package distrib
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ctcomm/internal/pattern"
 )
 
-// Transfer is one node-to-node data movement of a redistribution plan:
-// the elements processor From must send to processor To, with the local
-// word offsets on each side and the classified access patterns. This is
-// exactly the compiler's input to the communication operation xQy.
+// Transfer is one node-to-node data movement of a redistribution plan,
+// the compiler's input to the communication operation xQy, held as the
+// compiler of §2.1 knows it: the word count and, per side, the pattern
+// and first local offset. Only an indexed (ω) side keeps its offsets;
+// SrcOffsets and DstOffsets regenerate the others.
 type Transfer struct {
 	From, To int
-	// SrcOff and DstOff are the local array offsets (in elements) of
-	// the moved values at the source and destination.
-	SrcOff, DstOff []int64
 	// Src and Dst are the classified access patterns of the two sides.
 	Src, Dst pattern.Spec
+	words    int
+	src, dst side
+}
+
+// side is one end of a transfer: its first local offset, every offset
+// if indexed, and for TransposePlan's column walk (cols > 0) the words
+// per column at the pattern's stride, each column one word further.
+type side struct {
+	first int64
+	cols  int
+	idx   []int64
+}
+
+// at returns the side's k-th local offset under pattern spec.
+func (s side) at(spec pattern.Spec, k int) int64 {
+	switch {
+	case s.idx != nil:
+		return s.idx[k]
+	case s.cols > 0:
+		return s.first + int64(k%s.cols)*int64(spec.Stride()) + int64(k/s.cols)
+	}
+	b := spec.Block()
+	return s.first + int64(k/b)*int64(spec.Stride()) + int64(k%b)
+}
+
+func (s side) offsets(spec pattern.Spec, words int) []int64 {
+	out := make([]int64, words)
+	for k := range out {
+		out[k] = s.at(spec, k)
+	}
+	return out
 }
 
 // Words returns the number of transferred elements.
-func (t Transfer) Words() int { return len(t.SrcOff) }
+func (t Transfer) Words() int { return t.words }
+
+// SrcOffsets returns the source-side local offsets, in transfer order.
+func (t Transfer) SrcOffsets() []int64 { return t.src.offsets(t.Src, t.words) }
+
+// DstOffsets returns the destination-side local offsets, in transfer order.
+func (t Transfer) DstOffsets() []int64 { return t.dst.offsets(t.Dst, t.words) }
 
 // Classify determines the symbolic access pattern of a local offset
 // sequence: contiguous, constant-strided, or indexed (paper §2.2). A
 // single element classifies as contiguous; an empty sequence is invalid.
 func Classify(offsets []int64) (pattern.Spec, error) {
-	switch len(offsets) {
-	case 0:
+	if len(offsets) == 0 {
 		return pattern.Spec{}, fmt.Errorf("distrib: empty offset sequence")
-	case 1:
-		return pattern.Contig(), nil
 	}
-	if offsets[1]-offsets[0] < 1 {
-		return pattern.Indexed(), nil
+	var c classifier
+	for _, o := range offsets {
+		c.add(o)
 	}
-	// Detect the dense run length: how many leading offsets advance by 1.
-	block := 1
-	for block < len(offsets) && offsets[block]-offsets[block-1] == 1 {
-		block++
-	}
-	if block == len(offsets) {
-		return pattern.Contig(), nil
-	}
-	stride := offsets[block] - offsets[0]
-	if stride <= int64(block) || stride > 1<<30 {
-		return pattern.Indexed(), nil
-	}
-	// Verify the whole sequence follows the block-strided law.
-	for i := range offsets {
-		want := offsets[0] + int64(i/block)*stride + int64(i%block)
-		if offsets[i] != want {
-			return pattern.Indexed(), nil
+	return c.spec(), nil
+}
+
+// classifier is Classify as one online pass with O(1) state: the count,
+// the first offset and the block-strided law so far (a leading dense
+// run of block words, then runs at stride). A stride that does not
+// clear the run or exceeds 1<<30, or an offset off the law, makes the
+// side indexed: the prefix is materialized from the law.
+type classifier struct {
+	n      int
+	first  int64
+	block  int // 0 while the leading run is still open
+	stride int64
+	idx    []int64
+}
+
+func (c *classifier) add(o int64) {
+	i := c.n
+	c.n++
+	switch {
+	case c.idx != nil:
+		c.idx = append(c.idx, o)
+	case i == 0:
+		c.first = o
+	case c.block == 0:
+		if o == c.first+int64(i) {
+			return // the leading run goes on
 		}
+		// The run ends and o starts the next; a first step below one
+		// word makes a stride of at most the block.
+		c.block, c.stride = i, o-c.first
+		if c.stride <= int64(c.block) || c.stride > 1<<30 {
+			c.deviate(i, o)
+		}
+	case o != c.law(i):
+		c.deviate(i, o)
 	}
-	return pattern.StridedBlock(int(stride), block), nil
+}
+
+// law returns the k-th offset of the law, once the block is fixed.
+func (c *classifier) law(k int) int64 {
+	return c.first + int64(k/c.block)*c.stride + int64(k%c.block)
+}
+
+// deviate makes the side indexed at its i-th offset, o.
+func (c *classifier) deviate(i int, o int64) {
+	c.idx = make([]int64, i, 2*(i+1))
+	for k := range c.idx {
+		c.idx[k] = c.law(k)
+	}
+	c.idx = append(c.idx, o)
+}
+
+func (c *classifier) spec() pattern.Spec {
+	switch {
+	case c.idx != nil:
+		return pattern.Indexed()
+	case c.block == 0:
+		return pattern.Contig()
+	}
+	return pattern.StridedBlock(int(c.stride), c.block)
+}
+
+// pairs accumulates a plan: two classifiers per processor pair that
+// exchanges data, so its state grows with those pairs, never with the
+// elements or with p×p.
+type pairs struct {
+	procs int
+	at    map[int]int // from*procs + to -> index into acc
+	acc   []pairAcc
+}
+
+type pairAcc struct {
+	from, to int
+	src, dst classifier
+}
+
+// newPairs sizes for every pair, at most one per element and 4096.
+func newPairs(procs, elems int) *pairs {
+	hint := min(elems, procs*(procs-1), 4096)
+	return &pairs{procs: procs, at: make(map[int]int, hint), acc: make([]pairAcc, 0, hint)}
+}
+
+// add records one element moving from processor from, at local offset
+// srcOff, to processor to, at dstOff.
+func (ps *pairs) add(from, to int, srcOff, dstOff int64) {
+	k := from*ps.procs + to
+	i, ok := ps.at[k]
+	if !ok {
+		i = len(ps.acc)
+		ps.at[k] = i
+		ps.acc = append(ps.acc, pairAcc{from: from, to: to})
+	}
+	ps.acc[i].src.add(srcOff)
+	ps.acc[i].dst.add(dstOff)
+}
+
+// plan returns the accumulated transfers ordered (From, To).
+func (ps *pairs) plan() []Transfer {
+	plan := make([]Transfer, len(ps.acc))
+	for i, a := range ps.acc {
+		plan[i] = Transfer{From: a.from, To: a.to, Src: a.src.spec(), Dst: a.dst.spec(), words: a.src.n,
+			src: side{first: a.src.first, idx: a.src.idx}, dst: side{first: a.dst.first, idx: a.dst.idx}}
+	}
+	slices.SortFunc(plan, func(a, b Transfer) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	return plan
 }
 
 // Plan computes the full redistribution plan from src to dst: one
@@ -67,64 +189,30 @@ func Plan(src, dst Distribution) ([]Transfer, error) {
 	if !src.Compatible(dst) {
 		return nil, fmt.Errorf("distrib: incompatible distributions %v vs %v", src, dst)
 	}
-	type key struct{ from, to int }
-	byPair := make(map[key]*Transfer)
-	srcOff := allLocalOffsets(src)
-	dstOff := allLocalOffsets(dst)
+	srcAt, dstAt := localOffsets(src), localOffsets(dst)
+	ps := newPairs(src.P, src.N)
 	for i := 0; i < src.N; i++ {
-		from := src.OwnerOf(i)
-		to := dst.OwnerOf(i)
-		if from == to {
-			continue
+		from, srcOff := srcAt(i)
+		to, dstOff := dstAt(i)
+		if from != to {
+			ps.add(from, to, srcOff, dstOff)
 		}
-		k := key{from, to}
-		t, ok := byPair[k]
-		if !ok {
-			t = &Transfer{From: from, To: to}
-			byPair[k] = t
-		}
-		t.SrcOff = append(t.SrcOff, srcOff[i])
-		t.DstOff = append(t.DstOff, dstOff[i])
 	}
-	plan := make([]Transfer, 0, len(byPair))
-	for _, t := range byPair {
-		s, err := Classify(t.SrcOff)
-		if err != nil {
-			return nil, err
-		}
-		d, err := Classify(t.DstOff)
-		if err != nil {
-			return nil, err
-		}
-		t.Src, t.Dst = s, d
-		plan = append(plan, *t)
-	}
-	sort.Slice(plan, func(i, j int) bool {
-		if plan[i].From != plan[j].From {
-			return plan[i].From < plan[j].From
-		}
-		return plan[i].To < plan[j].To
-	})
-	return plan, nil
+	return ps.plan(), nil
 }
 
-// allLocalOffsets computes the local offset of every global index in
-// one O(n) pass (avoiding the O(n) per-element cost of LocalOffset for
-// indexed distributions).
-func allLocalOffsets(d Distribution) []int64 {
-	out := make([]int64, d.N)
-	if d.Kind == IndexedKind {
-		next := make([]int64, d.P)
-		for i, o := range d.Owner {
-			out[i] = next[o]
-			next[o]++
-		}
-		return out
+// localOffsets yields the owner and local offset of global indices asked
+// in order, each in O(1): IndexedKind counts per processor.
+func localOffsets(d Distribution) func(i int) (int, int64) {
+	if d.Kind != IndexedKind {
+		return func(i int) (int, int64) { return d.OwnerOf(i), int64(d.LocalOffset(i)) }
 	}
-	for i := 0; i < d.N; i++ {
-		out[i] = int64(d.LocalOffset(i))
+	seen := make([]int64, d.P)
+	return func(i int) (int, int64) {
+		o := d.Owner[i]
+		seen[o]++
+		return o, seen[o] - 1
 	}
-	return out
 }
 
 // Localize splits a global array into per-processor local arrays under
@@ -180,10 +268,10 @@ func Apply(src, dst Distribution, plan []Transfer, locals [][]float64) ([][]floa
 			out[to][dst.LocalOffset(i)] = locals[from][src.LocalOffset(i)]
 		}
 	}
-	// Planned transfers.
+	// Planned transfers, at the offsets their patterns regenerate.
 	for _, t := range plan {
-		for k := range t.SrcOff {
-			out[t.To][t.DstOff[k]] = locals[t.From][t.SrcOff[k]]
+		for k := 0; k < t.words; k++ {
+			out[t.To][t.dst.at(t.Dst, k)] = locals[t.From][t.src.at(t.Src, k)]
 		}
 	}
 	return out, nil

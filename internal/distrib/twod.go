@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"fmt"
-	"sort"
 
 	"ctcomm/internal/pattern"
 )
@@ -86,62 +85,30 @@ func Plan2D(src, dst Dist2D) ([]Transfer, error) {
 		return nil, fmt.Errorf("distrib: processor counts differ: %d vs %d",
 			src.Procs(), dst.Procs())
 	}
-	type key struct{ from, to int }
-	byPair := make(map[key]*Transfer)
+	ps := newPairs(src.Procs(), src.Rows*src.Cols)
 	for i := 0; i < src.Rows; i++ {
 		for j := 0; j < src.Cols; j++ {
-			from := src.OwnerOf(i, j)
-			to := dst.OwnerOf(i, j)
-			if from == to {
-				continue
+			if from, to := src.OwnerOf(i, j), dst.OwnerOf(i, j); from != to {
+				ps.add(from, to, int64(src.LocalOffset(i, j)), int64(dst.LocalOffset(i, j)))
 			}
-			k := key{from, to}
-			t, ok := byPair[k]
-			if !ok {
-				t = &Transfer{From: from, To: to}
-				byPair[k] = t
-			}
-			t.SrcOff = append(t.SrcOff, int64(src.LocalOffset(i, j)))
-			t.DstOff = append(t.DstOff, int64(dst.LocalOffset(i, j)))
 		}
 	}
-	plan := make([]Transfer, 0, len(byPair))
-	for _, t := range byPair {
-		s, err := Classify(t.SrcOff)
-		if err != nil {
-			return nil, err
-		}
-		w, err := Classify(t.DstOff)
-		if err != nil {
-			return nil, err
-		}
-		t.Src, t.Dst = s, w
-		plan = append(plan, *t)
-	}
-	sortPlan(plan)
-	return plan, nil
+	return ps.plan(), nil
 }
 
 // RowBlock returns the (BLOCK, *) layout: whole rows, block-distributed.
-func RowBlock(rows, cols, procs int) (Dist2D, error) {
-	r, err := NewBlock(rows, procs)
-	if err != nil {
-		return Dist2D{}, err
-	}
-	c, err := NewBlock(cols, 1)
-	if err != nil {
-		return Dist2D{}, err
-	}
-	return NewDist2D(rows, cols, r, c)
-}
+func RowBlock(rows, cols, procs int) (Dist2D, error) { return blockLayout(rows, cols, procs, 1) }
 
 // ColBlock returns the (*, BLOCK) layout: whole columns, block-distributed.
-func ColBlock(rows, cols, procs int) (Dist2D, error) {
-	r, err := NewBlock(rows, 1)
+func ColBlock(rows, cols, procs int) (Dist2D, error) { return blockLayout(rows, cols, 1, procs) }
+
+// blockLayout block-distributes rows over pr, columns over pc processors.
+func blockLayout(rows, cols, pr, pc int) (Dist2D, error) {
+	r, err := NewBlock(rows, pr)
 	if err != nil {
 		return Dist2D{}, err
 	}
-	c, err := NewBlock(cols, procs)
+	c, err := NewBlock(cols, pc)
 	if err != nil {
 		return Dist2D{}, err
 	}
@@ -156,59 +123,30 @@ func ColBlock(rows, cols, procs int) (Dist2D, error) {
 // the 1Qn orientation — while dst-major traversal (stridedLoads true)
 // yields nQ1 (§5.2's compiler choice).
 func TransposePlan(n, procs int, stridedLoads bool) ([]Transfer, error) {
-	src, err := RowBlock(n, n, procs)
-	if err != nil {
+	if _, err := RowBlock(n, n, procs); err != nil {
 		return nil, err
 	}
-	dst := src // same layout for a and b
 	if n%procs != 0 {
 		return nil, fmt.Errorf("distrib: %d processors do not divide n=%d", procs, n)
 	}
 	blk := n / procs
-	var plan []Transfer
+	// Patch from -> to is b(i, j) = a(j, i), i in to's rows, j in from's:
+	// it starts at a's local offset to*blk and b's from*blk.
+	plan := make([]Transfer, 0, procs*(procs-1))
 	for from := 0; from < procs; from++ {
 		for to := 0; to < procs; to++ {
 			if from == to {
 				continue
 			}
-			t := Transfer{From: from, To: to}
-			// Element b(i, j) = a(j, i): i in to's rows, j in from's rows.
-			i0, j0 := to*blk, from*blk
-			if stridedLoads {
-				// dst-major: write b rows contiguously, read a columns.
-				for i := i0; i < i0+blk; i++ {
-					for j := j0; j < j0+blk; j++ {
-						t.SrcOff = append(t.SrcOff, int64(src.LocalOffset(j, i)))
-						t.DstOff = append(t.DstOff, int64(dst.LocalOffset(i, j)))
-					}
-				}
-				t.Src = pattern.Strided(n)
-				t.Dst = pattern.StridedBlock(n, blk)
-			} else {
-				// source-major: read a rows contiguously, scatter b
-				// columns at stride n.
-				for j := j0; j < j0+blk; j++ {
-					for i := i0; i < i0+blk; i++ {
-						t.SrcOff = append(t.SrcOff, int64(src.LocalOffset(j, i)))
-						t.DstOff = append(t.DstOff, int64(dst.LocalOffset(i, j)))
-					}
-				}
-				t.Src = pattern.StridedBlock(n, blk)
-				t.Dst = pattern.Strided(n)
+			t := Transfer{From: from, To: to, words: blk * blk,
+				src: side{first: int64(to * blk)}, dst: side{first: int64(from * blk)}}
+			if stridedLoads { // dst-major: read a columns, write b rows
+				t.Src, t.Dst, t.src.cols = pattern.Strided(n), pattern.StridedBlock(n, blk), blk
+			} else { // source-major: read a rows, scatter b columns
+				t.Src, t.Dst, t.dst.cols = pattern.StridedBlock(n, blk), pattern.Strided(n), blk
 			}
 			plan = append(plan, t)
 		}
 	}
-	sortPlan(plan)
 	return plan, nil
-}
-
-// sortPlan orders transfers by (From, To).
-func sortPlan(plan []Transfer) {
-	sort.Slice(plan, func(i, j int) bool {
-		if plan[i].From != plan[j].From {
-			return plan[i].From < plan[j].From
-		}
-		return plan[i].To < plan[j].To
-	})
 }

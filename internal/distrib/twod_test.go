@@ -146,8 +146,9 @@ func TestTransposePlanMovesDataCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range plan {
-		for k := range tr.SrcOff {
-			out[tr.To][tr.DstOff[k]] = tiles[tr.From][tr.SrcOff[k]]
+		srcOff, dstOff := tr.SrcOffsets(), tr.DstOffsets()
+		for k := range srcOff {
+			out[tr.To][dstOff[k]] = tiles[tr.From][srcOff[k]]
 		}
 	}
 	for i := 0; i < n; i++ {

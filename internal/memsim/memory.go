@@ -152,7 +152,14 @@ type Memory struct {
 	ff *ffState
 	// cert is the last run's recurrence certificate, if it issued one.
 	cert Cert
+	// streams are the read and write stream headers runs on m reuse.
+	streams [2]pattern.Stream
 }
+
+// Streams returns the memory's reusable read and write stream headers,
+// kept across Reset and the pool so a caller builds the streams of a
+// run on m without allocating. They never outlive a run.
+func (m *Memory) Streams() (r, w *pattern.Stream) { return &m.streams[0], &m.streams[1] }
 
 // geometry is what fixes the sizes of a Memory's buffers: its cache
 // lines and ways and its two queue capacities. Memories of one geometry
@@ -217,7 +224,8 @@ func Acquire(cfg Config) (*Memory, error) {
 // Release hands m back to Acquire's pool. The caller must not use m
 // afterwards.
 func (m *Memory) Release() {
-	m.cfg.Stats = nil // an idle memory keeps no caller's Stats alive
+	m.cfg.Stats = nil               // an idle memory keeps no caller's Stats alive
+	m.streams = [2]pattern.Stream{} // nor an indexed run's permutation
 	pool.Put(geometryOf(&m.cfg), m)
 }
 

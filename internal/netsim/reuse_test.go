@@ -92,6 +92,40 @@ func TestCongestionOfMatchesMap(t *testing.T) {
 	}
 }
 
+// TestLinkLoadPhasesMatchCongestionOf: one LinkLoad counting phase
+// after phase, reset between them, reads each phase's CongestionOf, and
+// a whole sequence costs the one buffer NewLinkLoad allocates.
+func TestLinkLoadPhasesMatchCongestionOf(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, topo := range reuseTopologies() {
+		for perPort := 0; perPort <= 4; perPort++ {
+			phases := make([][]Flow, 12)
+			for i := range phases {
+				phases[i] = randomTraffic(r, topo.Nodes(), r.Intn(3*topo.Nodes()))
+			}
+			count := func(l *LinkLoad) []float64 {
+				got := make([]float64, 0, len(phases))
+				for _, flows := range phases {
+					l.Reset()
+					for _, f := range flows {
+						l.Add(f.Src, f.Dst)
+					}
+					got = append(got, l.Congestion())
+				}
+				return got
+			}
+			for i, got := range count(NewLinkLoad(topo, perPort)) {
+				if want := CongestionOf(topo, phases[i], perPort); got != want {
+					t.Fatalf("%s, %d nodes per port, phase %d: LinkLoad %v, CongestionOf %v", topo.Name(), perPort, i, got, want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(3, func() { count(NewLinkLoad(topo, perPort)) }); allocs > 3 {
+				t.Errorf("%s: %d phases allocate %v times, want the result, the counter and its buffer", topo.Name(), len(phases), allocs)
+			}
+		}
+	}
+}
+
 // TestAcquireNetworkAppliesTopologyAndConfig pins what the pool
 // re-applies: a network handed back after traffic and acquired again
 // over another topology and configuration of the same geometry is in

@@ -1,5 +1,7 @@
 package pattern
 
+import "slices"
+
 // Deterministic pseudo-random index-array generators. The paper's indexed
 // pattern ω is "an arbitrary sequence of words ... determined by indices
 // given in a separate index array" (§2.2), typically a permutation
@@ -36,16 +38,25 @@ func (r *rng) intn(n int) int {
 // Permutation returns a duplicate-free permutation of the word offsets
 // 0..n-1 using a Fisher-Yates shuffle seeded with seed.
 func Permutation(n int, seed uint64) []int64 {
-	p := make([]int64, n)
-	for i := range p {
-		p[i] = int64(i)
+	return AppendPermutation(make([]int64, 0, n), n, seed)
+}
+
+// AppendPermutation appends Permutation(n, seed) to buf and returns the
+// extended slice, so a caller that builds permutation after permutation
+// reuses one buffer.
+func AppendPermutation(buf []int64, n int, seed uint64) []int64 {
+	start := len(buf)
+	buf = slices.Grow(buf, n)
+	for i := 0; i < n; i++ {
+		buf = append(buf, int64(i))
 	}
+	p := buf[start:]
 	r := newRNG(seed)
 	for i := n - 1; i > 0; i-- {
 		j := r.intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
+	return buf
 }
 
 // BlockedPermutation permutes blocks of blockWords consecutive words.

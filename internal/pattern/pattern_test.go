@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -390,5 +391,15 @@ func TestStridedBlockAccessors(t *testing.T) {
 	}
 	if Indexed().Block() != 0 || Fixed().Block() != 0 {
 		t.Error("non-strided patterns should report block 0")
+	}
+}
+
+func TestAppendPermutation(t *testing.T) {
+	prefix := []int64{7, 8}
+	for _, n := range []int{0, 1, 2, 100} {
+		got := AppendPermutation(append([]int64(nil), prefix...), n, 42)
+		if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], Permutation(n, 42)) {
+			t.Errorf("n=%d: AppendPermutation = %v", n, got)
+		}
 	}
 }

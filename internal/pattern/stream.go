@@ -35,10 +35,18 @@ type Stream struct {
 // base and covering words payload words. Indexed specs require an index
 // slice of word offsets (one per payload word) supplied via WithIndex.
 func NewStream(spec Spec, base int64, words int) *Stream {
+	return new(Stream).Init(spec, base, words)
+}
+
+// Init makes st, in place, the stream NewStream(spec, base, words)
+// returns, so a caller reuses one stream header across runs. It returns
+// the stream for chaining.
+func (st *Stream) Init(spec Spec, base int64, words int) *Stream {
 	if words < 0 {
 		panic("pattern: negative word count")
 	}
-	return &Stream{spec: spec, base: base, words: words}
+	*st = Stream{spec: spec, base: base, words: words}
+	return st
 }
 
 // WithIndex attaches the index array (word offsets relative to base) used

@@ -367,10 +367,11 @@ type PlanRequest struct {
 }
 
 // MaxPlanElements bounds the array a plan request may describe: n for
-// a redistribution, transpose² for a transpose. distrib.Plan allocates
-// about 53 bytes per element before any pricing, so the bound caps one
-// request near 56 MiB while admitting the 65,536-element default and
-// the 1024x1024 transpose of cmd/hpfplan's usage.
+// a redistribution, transpose² for a transpose. distrib.Plan keeps no
+// per-element state (its memory grows with the communicating processor
+// pairs), but it still walks every element once, so the bound caps one
+// request's planning time while admitting the 65,536-element default
+// and the 1024x1024 transpose of cmd/hpfplan's usage.
 const MaxPlanElements = 1 << 20
 
 // Canon returns the request with cmd/hpfplan's flag defaults applied.
@@ -523,12 +524,18 @@ func plan(r PlanRequest, b *Batch) (PlanResponse, bool, error) {
 		return resp, false, nil
 	}
 
-	// Summarize the plan.
-	patterns := map[string]int{}
+	// Summarize the plan: count the transfers of each pattern pair, then
+	// name each distinct pair once.
+	type pair struct{ src, dst pattern.Spec }
+	counts := map[pair]int{}
 	words := 0
 	for _, t := range plan {
-		patterns[t.Src.String()+"Q"+t.Dst.String()]++
+		counts[pair{t.Src, t.Dst}]++
 		words += t.Words()
+	}
+	patterns := make(map[string]int, len(counts))
+	for k, c := range counts {
+		patterns[k.src.String()+"Q"+k.dst.String()] += c
 	}
 	resp.Patterns, resp.Words = patterns, words
 	fmt.Fprintf(&text, "plan: %d transfers, %d words total, patterns %v\n",

@@ -3,8 +3,10 @@ package router
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -325,7 +327,10 @@ func TestRouterBadRequests(t *testing.T) {
 // BenchmarkRouterMixed drives the steady-state mixed workload through
 // the router and a 2-replica fleet — the scale-out analogue of
 // BenchmarkServeMixed, recorded (not gated) in BENCH_serve.json by
-// cmd/benchtrack.
+// cmd/benchtrack. The router serves on a loopback listener, as in
+// production: a real http.response copies a proxied answer through
+// net/http's pooled buffer, where a ResponseRecorder would make the
+// router allocate a fresh copy buffer per request.
 func BenchmarkRouterMixed(b *testing.B) {
 	f := newFleet(b, 2, serve.Config{Workers: 2})
 	rt, err := New(Config{Replicas: f.urls, ProbeInterval: -1})
@@ -333,19 +338,44 @@ func BenchmarkRouterMixed(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rt.Close()
+	hs := httptest.NewServer(rt.Handler())
+	defer hs.Close()
+	conns := runtime.GOMAXPROCS(0)
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: conns,
+		MaxConnsPerHost:     conns,
+		DisableCompression:  true,
+	}}
+	defer client.CloseIdleConnections()
+	send := func(path, body string) error {
+		resp, err := client.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s -> %d", path, resp.StatusCode)
+		}
+		return nil
+	}
 	for _, q := range mixedBodies { // warm every entry
-		if w := post(rt.Handler(), q.path, q.body); w.Code != http.StatusOK {
-			b.Fatalf("warmup %s -> %d", q.path, w.Code)
+		if err := send(q.path, q.body); err != nil {
+			b.Fatalf("warmup: %v", err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
 			q := mixedBodies[i%len(mixedBodies)]
 			i++
-			if w := post(rt.Handler(), q.path, q.body); w.Code != http.StatusOK {
-				b.Fatalf("%s -> %d", q.path, w.Code)
+			if err := send(q.path, q.body); err != nil {
+				b.Error(err)
+				return
 			}
 		}
 	})

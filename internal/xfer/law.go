@@ -159,22 +159,19 @@ func PeriodOf(m *machine.Machine, kind Kind, x, y pattern.Spec) int {
 	// footprint costs nil.
 	const w = 8
 	var p int
+	var rs, ws pattern.Stream
+	defer recycle(streams(&rs, &ws, kind, x, y, w))
 	switch kind {
 	case KindCopy:
-		rs, ws := streams(x, y, w)
-		p = m.Mem.StreamPeriod(rs, ws.ForWrites())
+		p = m.Mem.StreamPeriod(&rs, ws.ForWrites())
 	case KindLoadSend:
-		rs, _ := streams(x, pattern.Contig(), w)
-		p = m.Mem.StreamPeriod(rs, nil)
+		p = m.Mem.StreamPeriod(&rs, nil)
 	case KindFetchSend:
-		rs, _ := streams(x, pattern.Contig(), w)
-		p = m.Mem.EnginePeriod(rs)
+		p = m.Mem.EnginePeriod(&rs)
 	case KindRecvStore:
-		_, ws := streams(pattern.Contig(), y, w)
 		p = m.Mem.StreamPeriod(nil, ws.ForWrites().NoIndexOverhead())
 	case KindRecvDeposit:
-		_, ws := streams(pattern.Contig(), y, w)
-		p = m.Mem.EnginePeriod(ws)
+		p = m.Mem.EnginePeriod(&ws)
 	}
 	if p > lawMaxPeriod {
 		return 0

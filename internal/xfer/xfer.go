@@ -25,6 +25,7 @@ import (
 	"ctcomm/internal/machine"
 	"ctcomm/internal/memsim"
 	"ctcomm/internal/pattern"
+	"ctcomm/internal/sim"
 )
 
 // Result reports one simulated basic transfer.
@@ -46,19 +47,76 @@ const (
 	dstBase = 1 << 30
 )
 
-// streams builds the read- and write-side streams for a transfer of
-// words payload words, generating deterministic permutations for indexed
-// sides.
-func streams(read, write pattern.Spec, words int) (r, w *pattern.Stream) {
-	r = pattern.NewStream(read, srcBase, words)
-	if read.Kind() == pattern.KindIndexed {
-		r.WithIndex(pattern.Permutation(words, 0x5EED0001))
+// Indexed sides permute their own word offsets, seeded per side.
+const readSeed, writeSeed = 0x5EED0001, 0x5EED0002
+
+// streams makes rs and ws the read- and write-side streams of a
+// transfer of kind over words payload words: a send's write side and a
+// receive's read side are contiguous, the side it never runs. An
+// indexed side gets a deterministic permutation, which streams returns
+// so recycle can take it back after the run.
+func streams(rs, ws *pattern.Stream, kind Kind, x, y pattern.Spec, words int) (ri, wi []int64) {
+	switch kind {
+	case KindLoadSend, KindFetchSend:
+		y = pattern.Contig()
+	case KindRecvStore, KindRecvDeposit:
+		x = pattern.Contig()
 	}
-	w = pattern.NewStream(write, dstBase, words)
-	if write.Kind() == pattern.KindIndexed {
-		w.WithIndex(pattern.Permutation(words, 0x5EED0002))
+	rs.Init(x, srcBase, words)
+	if x.Kind() == pattern.KindIndexed {
+		ri = permutation(words, readSeed)
+		rs.WithIndex(ri)
 	}
-	return r, w
+	ws.Init(y, dstBase, words)
+	if y.Kind() == pattern.KindIndexed {
+		wi = permutation(words, writeSeed)
+		ws.WithIndex(wi)
+	}
+	return ri, wi
+}
+
+// indexBufs keeps idle permutations between runs, keyed by seed: at
+// most GOMAXPROCS per seed (sim.Pool) and keepIndexWords words each, so
+// what it retains stays under 64 KiB per worker, whatever the machine
+// profiles and memories in use. An idle permutation holds the offsets
+// of its own length under its seed.
+var indexBufs = sim.NewPool[uint64, []int64]()
+
+// keepIndexWords caps a kept permutation at 4096 words (32 KiB); a
+// longer side builds its permutation for its one run. Counted over 25 s
+// runs of the perfbench workloads (seed 1201, 2-core host), the cap
+// covers every indexed side of sweep-engine (20,792, at most 4,095
+// words) and 78-79% of query-mix's and routed-mix's; the rest are
+// cold prices of up to 32,768 words and the rate-table calibration's
+// 131,072-word runs. Keeping those would pin up to 512 KiB per seed on
+// that host (2 MiB per seed once a calibration-sized side was kept),
+// against a live heap near 7 MiB, to save the 0.31 KiB per answer they
+// allocate on query-mix (of 11.4).
+const keepIndexWords = 4096
+
+// permutation returns pattern.Permutation(words, seed), rebuilding an
+// idle one in place unless it already has words words.
+func permutation(words int, seed uint64) []int64 {
+	if words > keepIndexWords {
+		return pattern.Permutation(words, seed)
+	}
+	buf, _ := indexBufs.Get(seed)
+	if len(buf) != words {
+		buf = pattern.AppendPermutation(buf[:0], words, seed)
+	}
+	return buf
+}
+
+// recycle hands the permutations streams built back to indexBufs.
+func recycle(ri, wi []int64) {
+	keep(readSeed, ri)
+	keep(writeSeed, wi)
+}
+
+func keep(seed uint64, buf []int64) {
+	if buf != nil && cap(buf) <= keepIndexWords {
+		indexBufs.Put(seed, buf)
+	}
 }
 
 // Copy simulates the local memory-to-memory copy xCy of words payload
@@ -204,22 +262,19 @@ func finish(m *machine.Machine, kind Kind, x, y pattern.Spec, words int, res mem
 // (Copy, LoadSend, FetchSend), y the write-side pattern (Copy,
 // RecvStore, RecvDeposit); the unused side is ignored.
 func memPart(mem *memsim.Memory, kind Kind, x, y pattern.Spec, words int) memsim.Result {
+	rs, ws := mem.Streams()
+	defer recycle(streams(rs, ws, kind, x, y, words))
 	switch kind {
 	case KindCopy:
-		rs, ws := streams(x, y, words)
 		return mem.RunStream(rs, ws.ForWrites(), memsim.InterleaveWordwise)
 	case KindLoadSend:
-		rs, _ := streams(x, pattern.Contig(), words)
 		return mem.RunStream(rs, nil, memsim.InterleaveWordwise)
 	case KindFetchSend:
-		rs, _ := streams(x, pattern.Contig(), words)
 		return mem.EngineRead(rs)
 	case KindRecvStore:
-		_, ws := streams(pattern.Contig(), y, words)
 		// No overhead loads: the scatter addresses come off the wire.
 		return mem.RunStream(nil, ws.ForWrites().NoIndexOverhead(), memsim.InterleaveWordwise)
 	case KindRecvDeposit:
-		_, ws := streams(pattern.Contig(), y, words)
 		return mem.EngineWrite(ws)
 	default:
 		panic(fmt.Sprintf("xfer: unknown transfer kind %v", kind))

@@ -215,7 +215,8 @@ func TestCopyMatchesSlicePath(t *testing.T) {
 		for _, read := range specs {
 			for _, write := range specs {
 				words := 1 << 10
-				rs, ws := streams(read, write, words)
+				rs, ws := new(pattern.Stream), new(pattern.Stream)
+				streams(rs, ws, KindCopy, read, write, words)
 				ref := m.NewNode(0).Mem.Run(referenceInterleave(rs.Accesses(false), ws.Accesses(true)))
 				got := m.NewNode(0).Mem.RunStream(rs, ws.ForWrites(), memsim.InterleaveWordwise)
 				// The slice path never fast-forwards; the provenance flag
@@ -337,5 +338,41 @@ func TestRecvDepositBlockStrided(t *testing.T) {
 	}
 	if blocked.MBps() < plain.MBps() {
 		t.Errorf("T3D 0D64x2 %.1f < 0D64 %.1f", blocked.MBps(), plain.MBps())
+	}
+}
+
+// TestWarmIndexedRunAllocatesNothing: both stream headers live on the
+// memory and an indexed side's permutation comes back from indexBufs,
+// so once warm, a run of every transfer kind with indexed sides (and a
+// change of word count within keepIndexWords) allocates nothing.
+func TestWarmIndexedRunAllocatesNothing(t *testing.T) {
+	w := pattern.Indexed()
+	for _, m := range machine.Profiles() {
+		mem, err := memsim.Acquire(m.Mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			kind Kind
+			x, y pattern.Spec
+		}{
+			{KindCopy, w, w}, {KindCopy, w, pattern.Contig()}, {KindLoadSend, w, pattern.Spec{}},
+			{KindRecvStore, pattern.Spec{}, w}, {KindFetchSend, w, pattern.Spec{}}, {KindRecvDeposit, pattern.Spec{}, w},
+		} {
+			if admit(m, tc.kind, tc.x, tc.y) != nil {
+				continue
+			}
+			words := 2048
+			run := func() {
+				if _, err := Run(m, mem, tc.kind, tc.x, tc.y, words); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if allocs := testing.AllocsPerRun(5, func() { words ^= 2048 ^ 2047; run() }); allocs != 0 {
+				t.Errorf("%s %v %v/%v: a warm run allocates %.0f times, want 0", m.Name, tc.kind, tc.x, tc.y, allocs)
+			}
+		}
+		mem.Release()
 	}
 }
