@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzCollectiveSchedule$$' -fuzztime 30s ./internal/collective/
 	$(GO) test -fuzz 'FuzzCollectiveWordsLaw$$' -fuzztime 30s ./internal/query/
 	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz 'FuzzRoutedPointBytes$$' -fuzztime 30s ./internal/router/
 	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 30s ./internal/netsim/
 	$(GO) test -fuzz 'FuzzCertifiedLawMatchesReference$$' -fuzztime 30s ./internal/xfer/
 	$(GO) test -fuzz 'FuzzReusedSimulatorMatchesFresh$$' -fuzztime 30s ./internal/machine/
@@ -102,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzCollectiveSchedule$$' -fuzztime 10s ./internal/collective/
 	$(GO) test -fuzz 'FuzzCollectiveWordsLaw$$' -fuzztime 10s ./internal/query/
 	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -fuzz 'FuzzRoutedPointBytes$$' -fuzztime 10s ./internal/router/
 	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 10s ./internal/netsim/
 	$(GO) test -fuzz 'FuzzCertifiedLawMatchesReference$$' -fuzztime 10s ./internal/xfer/
 	$(GO) test -fuzz 'FuzzReusedSimulatorMatchesFresh$$' -fuzztime 10s ./internal/machine/

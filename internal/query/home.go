@@ -3,11 +3,11 @@ package query
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"ctcomm/internal/collective"
 	"ctcomm/internal/comm"
 	"ctcomm/internal/law"
+	"ctcomm/internal/memo"
 	"ctcomm/internal/pattern"
 )
 
@@ -34,10 +34,6 @@ import (
 // validation also keep their fingerprint: their replica answers them
 // with the same error wherever they land.
 
-// homeMemoMax bounds each home-shape table. A full table is emptied
-// and refilled, so memory stays bounded under any key stream.
-const homeMemoMax = 4096
-
 // homeShape is the word-count-independent part of a home key: the key
 // prefix and the period P (0: no law; use the fingerprint).
 type homeShape struct {
@@ -45,28 +41,17 @@ type homeShape struct {
 	period int64
 }
 
-// homeMemo memoizes the shape part of home keys. Finding P probes the
-// memory system's shape rules of every transfer involved, which costs
-// tens of microseconds; a hit is one read-locked map lookup.
-type homeMemo[K comparable] struct {
-	mu sync.RWMutex
-	m  map[K]homeShape
-}
-
-func (h *homeMemo[K]) get(k K, compute func() homeShape) homeShape {
-	h.mu.RLock()
-	s, ok := h.m[k]
-	h.mu.RUnlock()
-	if ok {
+// memoShape returns the shape memoized for k in t, computing and
+// storing it on a miss. Finding P probes the memory system's shape
+// rules of every transfer involved, which costs tens of microseconds;
+// a hit is one read-locked map lookup. The table is bounded
+// (memo.Max), so memory stays bounded under any key stream.
+func memoShape[K comparable](t *memo.Table[K, homeShape], k K, compute func() homeShape) homeShape {
+	if s, ok := t.Get(k); ok {
 		return s
 	}
-	s = compute()
-	h.mu.Lock()
-	if h.m == nil || len(h.m) >= homeMemoMax {
-		h.m = make(map[K]homeShape)
-	}
-	h.m[k] = s
-	h.mu.Unlock()
+	s := compute()
+	t.Put(k, s)
 	return s
 }
 
@@ -81,13 +66,13 @@ func (s homeShape) key(words int) (string, bool) {
 
 type priceShapeKey struct{ machine, style, x, y string }
 
-var priceShapes homeMemo[priceShapeKey]
+var priceShapes memo.Table[priceShapeKey, homeShape]
 
 // priceHome is the price kind's home key: the machine profile, the
 // shape xQy and the word count modulo the style's comm.WordsPeriod.
 func priceHome(r PriceRequest) string {
 	c := r.Canon()
-	s := priceShapes.get(priceShapeKey{c.Machine, c.Style, c.X, c.Y}, func() homeShape {
+	s := memoShape(&priceShapes, priceShapeKey{c.Machine, c.Style, c.X, c.Y}, func() homeShape {
 		m, err := ResolveMachine(c.Machine)
 		if err != nil {
 			return homeShape{}
@@ -118,7 +103,7 @@ type collectiveShapeKey struct {
 	engine                     bool
 }
 
-var collectiveShapes homeMemo[collectiveShapeKey]
+var collectiveShapes memo.Table[collectiveShapeKey, homeShape]
 
 // collectiveHome is the collective kind's home key: the machine
 // profile, the operation, its resolved node count and offset, the
@@ -129,7 +114,7 @@ var collectiveShapes homeMemo[collectiveShapeKey]
 func collectiveHome(r CollectiveRequest) string {
 	c := r.Canon()
 	k := collectiveShapeKey{c.Machine, c.Collective, c.Level, c.Nodes, c.Offset, c.Engine}
-	s := collectiveShapes.get(k, func() homeShape {
+	s := memoShape(&collectiveShapes, k, func() homeShape {
 		m, err := ResolveMachine(c.Machine)
 		if err != nil {
 			return homeShape{}

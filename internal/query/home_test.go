@@ -9,6 +9,7 @@ import (
 	"ctcomm/internal/collective"
 	"ctcomm/internal/comm"
 	"ctcomm/internal/law"
+	"ctcomm/internal/memo"
 	"ctcomm/internal/pattern"
 	"ctcomm/internal/xfer"
 )
@@ -193,7 +194,7 @@ func TestHomeKeyAllocations(t *testing.T) {
 // computed alone.
 func TestHomeKeyConcurrent(t *testing.T) {
 	price := Lookup("price")
-	const workers, perWorker = 4, homeMemoMax / 3
+	const workers, perWorker = 4, memo.Max / 3
 	got := make([][]string, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -81,7 +81,8 @@ func validMachineNames() string {
 	return strings.Join(names, ", ")
 }
 
-// ParseOp splits an xQy operation label such as "1Q64" or "wQw".
+// ParseOp splits an xQy operation label such as "1Q64" or "wQw". Both
+// sides must be memory patterns: "0", the network port, is not one.
 func ParseOp(op string) (x, y pattern.Spec, err error) {
 	i := strings.IndexByte(op, 'Q')
 	if i <= 0 || i == len(op)-1 {
@@ -94,6 +95,9 @@ func ParseOp(op string) (x, y pattern.Spec, err error) {
 	y, err = pattern.ParseSpec(op[i+1:])
 	if err != nil {
 		return x, y, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if !x.IsMemory() || !y.IsMemory() {
+		return x, y, badf("invalid operation %q: xQy requires memory patterns on both sides", op)
 	}
 	return x, y, nil
 }

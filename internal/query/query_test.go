@@ -82,6 +82,7 @@ func TestEvalBadRequests(t *testing.T) {
 		{Expr: "1Z1"},                 // bad expression
 		{Op: "Q1"},                    // bad op
 		{Rates: "measured", Expr: "1C1"},
+		{Op: "0Q64"}, {Op: "64Q0"}, {Op: "0Q0"}, // the port is no memory pattern
 	}
 	for _, req := range cases {
 		if _, err := Eval(req); !errors.Is(err, ErrBadRequest) {

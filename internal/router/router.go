@@ -14,6 +14,14 @@
 // with no law keeps its fingerprint, so engine-bound work still
 // spreads.
 //
+// A repeated point body skips even the decode: a bounded alias map
+// keyed by a hash of the kind and the raw body holds the ring position
+// of the body's home key, and the router forwards the original bytes
+// to whichever replica owns that position now. A hash collision could
+// only send a body to another key's replica, which validates and
+// answers the bytes itself, so it changes where an answer is computed,
+// never what it is.
+//
 // The determinism contract makes this safe and makes it invisible:
 // every answer is a pure function of its fingerprint, so WHICH replica
 // answers cannot change WHAT is answered. Golden tests pin the
@@ -24,7 +32,8 @@
 // proxied whole to the home key's replica (with failover to ring
 // successors on transport errors); /v1/sweep is expanded locally,
 // fanned out by cell home key via each replica's /v1/cells, and
-// re-merged into one NDJSON stream in global cell order. /healthz and
+// re-merged into one NDJSON stream in global cell order, each replica
+// row copied as bytes with only its index rewritten. /healthz and
 // /v1/stats describe the router and its view of the fleet, with the
 // point queries and sweep cells each replica was sent, so skew from
 // home-key sharding is visible.
@@ -43,6 +52,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"sort"
@@ -51,12 +61,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ctcomm/internal/memo"
 	"ctcomm/internal/query"
 	"ctcomm/internal/serve"
 )
 
 // maxBodyBytes bounds a proxied request body, matching ctserved.
 const maxBodyBytes = 1 << 20
+
+// streamTimeout bounds one shard stream, from its request to its last
+// row; a stream re-opened on a successor gets a fresh bound.
+const streamTimeout = 60 * time.Second
 
 // Config parameterizes a Router.
 type Config struct {
@@ -77,9 +92,6 @@ type Config struct {
 	// EjectAfter is the number of consecutive probe failures that ejects
 	// a replica from the ring (default 2).
 	EjectAfter int
-	// Client performs replica requests (default: http.Client with a 60s
-	// timeout; sweeps stream within it).
-	Client *http.Client
 	// RequestTimeout bounds one proxied point query (default 30s).
 	RequestTimeout time.Duration
 }
@@ -93,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 2
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 60 * time.Second}
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -155,6 +164,12 @@ type Router struct {
 
 	stats routerMetrics
 
+	// aliases maps a hash of a point request's kind and raw body
+	// (aliasSeed) to the ring hash of its home key, so a repeated body
+	// is routed without decoding it.
+	aliases   memo.Table[uint64, uint64]
+	aliasSeed maphash.Seed
+
 	stopOnce sync.Once
 	stop     chan struct{}
 	probed   sync.WaitGroup
@@ -163,6 +178,7 @@ type Router struct {
 // routerMetrics counts the router's own traffic.
 type routerMetrics struct {
 	proxied   atomic.Int64 // point queries forwarded
+	aliasHits atomic.Int64 // of those, routed by the alias map without a decode
 	failovers atomic.Int64 // point queries retried on a ring successor
 	sweeps    atomic.Int64 // sweeps fanned out
 	cells     atomic.Int64 // sweep cells routed
@@ -179,7 +195,7 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("router: no replicas configured")
 	}
-	rt := &Router{cfg: cfg, mux: http.NewServeMux(), stop: make(chan struct{})}
+	rt := &Router{cfg: cfg, mux: http.NewServeMux(), stop: make(chan struct{}), aliasSeed: maphash.MakeSeed()}
 	seen := map[string]bool{}
 	for _, spec := range cfg.Replicas {
 		name, base := splitReplica(spec)
@@ -289,7 +305,12 @@ func (rt *Router) rebuildRing() {
 // order: the home replica first, then its failover successors. The
 // slice is shared; callers must not modify it.
 func (rt *Router) pick(key string) []*replica {
-	h := fingerprintHash(key)
+	return rt.walk(fingerprintHash(key))
+}
+
+// walk returns pick's replicas for the ring position h of a home key,
+// on the current ring.
+func (rt *Router) walk(h uint64) []*replica {
 	r := rt.ring.Load()
 	if len(r.points) == 0 {
 		return nil
@@ -373,7 +394,7 @@ func (rt *Router) probe(rep *replica) (serve.Health, error) {
 		return serve.Health{}, err
 	}
 	req.Header.Set("Accept", "application/json")
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
 		return serve.Health{}, err
 	}
@@ -416,33 +437,54 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // failing over to ring successors on transport errors. The
 // replica's response — status, content type and body — passes through
 // verbatim, preserving byte identity with a direct ctserved query.
+//
+// The body is read into a pooled buffer behind the kind's name, and
+// that whole buffer is hashed into the alias map. A hit gives the ring
+// position of the body's home key with no JSON work; a miss decodes
+// the body strictly, only to compute its home key, and stores the
+// position, so a body that fails to decode never creates an alias and
+// keeps its 400. Either way the ORIGINAL bytes are forwarded: the
+// replica applies its own strict validation and the router cannot skew
+// a request in transit. The map holds positions, not replicas, so an
+// alias follows the current ring through ejection and failover.
 func (rt *Router) handlePoint(k *query.Kind) http.HandlerFunc {
+	prefix, path := k.Name+"\n", "/v1/"+k.Name
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		buf, err := serve.ReadBody(w, r, prefix)
 		if err != nil {
+			serve.PutBody(buf)
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("reading body: %v", err)})
 			return
 		}
-		// Decode only to compute the home key; the ORIGINAL bytes are
-		// forwarded, so the replica applies its own strict validation and
-		// the router cannot skew a request in transit.
-		req, err := k.Decode(bytes.NewReader(body))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
+		body, alias := buf.Bytes()[len(prefix):], maphash.Bytes(rt.aliasSeed, buf.Bytes())
+		pos, hit := rt.aliases.Get(alias)
+		if !hit {
+			req, err := k.Decode(bytes.NewReader(body))
+			if err != nil {
+				serve.PutBody(buf)
+				writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+				return
+			}
+			pos = fingerprintHash(k.Home(req))
+			rt.aliases.Put(alias, pos)
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 		defer cancel()
-		resp, rep, err := rt.forward(ctx, k.Home(req), "/v1/"+k.Name, body)
+		resp, rep, retried, err := rt.forward(ctx, pos, path, body)
 		if err != nil {
+			// A failed round trip may still read its body after it
+			// returns, so buf goes to the collector, not the pool.
 			rt.stats.rejected.Add(1)
 			writeJSON(w, http.StatusBadGateway, errorBody{Error: err.Error()})
 			return
+		}
+		if !retried {
+			defer serve.PutBody(buf) // runs after the response body is closed
 		}
 		defer resp.Body.Close()
 		for _, hdr := range []string{"Content-Type", "Retry-After"} {
@@ -453,40 +495,52 @@ func (rt *Router) handlePoint(k *query.Kind) http.HandlerFunc {
 		w.WriteHeader(resp.StatusCode)
 		_, _ = io.Copy(w, resp.Body)
 		rt.stats.proxied.Add(1)
+		if hit {
+			rt.stats.aliasHits.Add(1)
+		}
 		rep.proxied.Add(1)
 	}
 }
 
-// forward posts body to path on the home key's replica, then on each
-// ring successor after a transport failure, and returns the response
-// with the replica that gave it. HTTP-level errors (4xx/5xx) are NOT
-// failed over: they are the home replica's answer.
-func (rt *Router) forward(ctx context.Context, key, path string, body []byte) (*http.Response, *replica, error) {
-	cands := rt.pick(key)
+// forward posts body to path on the replica that owns ring position
+// pos, then on each ring successor after a transport failure, and
+// returns the response with the replica that gave it; retried reports
+// that an earlier replica failed first. HTTP-level errors (4xx/5xx)
+// are NOT failed over: they are the home replica's answer.
+func (rt *Router) forward(ctx context.Context, pos uint64, path string, body []byte) (*http.Response, *replica, bool, error) {
+	cands := rt.walk(pos)
 	if len(cands) == 0 {
-		return nil, nil, errors.New("router: no routable replicas")
+		return nil, nil, false, errors.New("router: no routable replicas")
 	}
 	var lastErr error
 	for i, rep := range cands {
 		if i > 0 {
 			rt.stats.failovers.Add(1)
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := rt.cfg.Client.Do(req)
+		resp, err := postJSON(ctx, rep.base+path, body)
 		if err == nil {
-			return resp, rep, nil
+			return resp, rep, i > 0, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
+			return nil, nil, false, ctx.Err()
 		}
 		rt.markDown(rep)
 	}
-	return nil, nil, fmt.Errorf("router: all %d replicas failed, last: %v", len(cands), lastErr)
+	return nil, nil, false, fmt.Errorf("router: all %d replicas failed, last: %v", len(cands), lastErr)
+}
+
+// postJSON sends a JSON body to url under ctx. Point forwards, shard
+// streams and probes all call http.DefaultTransport directly, not
+// through an http.Client: replicas never redirect, and each caller
+// bounds its request with a deadline on ctx.
+func postJSON(ctx context.Context, url string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // --- Router observability ----------------------------------------------
@@ -512,9 +566,11 @@ type ReplicaHealth struct {
 }
 
 // Stats is the /v1/stats body: the router's own counters plus its
-// current view of the fleet.
+// current view of the fleet. AliasHits counts the Proxied point
+// queries routed by the alias map, without a decode.
 type Stats struct {
 	Proxied   int64           `json:"proxied"`
+	AliasHits int64           `json:"alias_hits"`
 	Failovers int64           `json:"failovers"`
 	Sweeps    int64           `json:"sweeps"`
 	Cells     int64           `json:"cells"`
@@ -528,6 +584,7 @@ type Stats struct {
 func (rt *Router) Snapshot() Stats {
 	s := Stats{
 		Proxied:   rt.stats.proxied.Load(),
+		AliasHits: rt.stats.aliasHits.Load(),
 		Failovers: rt.stats.failovers.Load(),
 		Sweeps:    rt.stats.sweeps.Load(),
 		Cells:     rt.stats.cells.Load(),

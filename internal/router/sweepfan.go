@@ -1,12 +1,14 @@
 package router
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"ctcomm/internal/query"
 	"ctcomm/internal/sweep"
@@ -19,8 +21,10 @@ import (
 // shards ship as explicit /v1/cells requests, and the shard
 // streams re-merge into one NDJSON stream in global cell order — byte
 // for byte what a single ctserved would have streamed, because each
-// row is the same pure function of its cell and the encoder is the
-// same.
+// row is the same pure function of its cell. A replica's row is copied
+// as the bytes it sent, with only its leading {"index":N rewritten to
+// the global index; it is decoded once, into its provenance flags, for
+// the merged summary's counts.
 //
 // Failure semantics compose with the sweep's own: a shard whose stream
 // dies mid-flight is retried on the next ring successor (skipping rows
@@ -88,16 +92,19 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	agg := sweep.Summary{Done: true}
 	for g := 0; g < len(cells); g++ {
-		sr := order[g]
-		row, err := sr.next(ctx)
-		if err != nil {
+		line, head, err := order[g].next(ctx, g)
+		if err == nil {
+			agg.Count(sweep.Row{Cached: head.Cached, Analytic: head.Analytic, Err: head.Err})
+			_, err = w.Write(line)
+		} else {
 			// The shard is gone: synthesize the error row a replica would
 			// have streamed for an unanswerable cell.
-			row = sweep.NewRow(cells[g], nil, false, false, fmt.Errorf("router: shard unreachable: %w", err))
+			row := sweep.NewRow(cells[g], nil, false, false, fmt.Errorf("router: shard unreachable: %w", err))
+			row.Index = g
+			agg.Count(row)
+			err = enc.Encode(row)
 		}
-		row.Index = g // local shard position -> global cell order
-		agg.Count(row)
-		if err := enc.Encode(row); err != nil {
+		if err != nil {
 			return // client gone
 		}
 		if flusher != nil {
@@ -124,12 +131,32 @@ type shardReader struct {
 
 	cand     int // next candidate to try
 	body     io.ReadCloser
-	dec      *json.Decoder
-	consumed int           // rows already handed to the merge
-	sum      sweep.Summary // terminal line, once seen
+	cancel   context.CancelFunc // ends the open stream's deadline
+	br       *bufio.Reader      // reads body; nil while no stream is open
+	line     []byte             // the last line read, newline included
+	out      []byte             // the last row handed to the merge
+	consumed int                // rows already handed to the merge
+	sum      sweep.Summary      // terminal line, once seen
 	sawSum   bool
 	dead     bool
 }
+
+// rowHead is what the merge decodes from a replica's row line: its
+// index and provenance. done marks the terminal summary line instead.
+type rowHead struct {
+	Index    int    `json:"index"`
+	Cached   bool   `json:"cached"`
+	Analytic bool   `json:"analytic"`
+	Err      string `json:"error"`
+	done     bool
+}
+
+// Every line of a replica's stream opens with its type's first field:
+// Row.Index for a row, Summary.Done for the terminal line.
+const (
+	indexKey = `{"index":`
+	doneKey  = `{"done":`
+)
 
 // open connects to the next candidate replica and positions the stream
 // past the rows the merge already consumed (the re-stream is
@@ -146,27 +173,29 @@ func (sr *shardReader) open(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+"/v1/cells", bytes.NewReader(body))
+		sctx, cancel := context.WithTimeout(ctx, streamTimeout)
+		resp, err := postJSON(sctx, rep.base+"/v1/cells", body)
 		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := sr.rt.cfg.Client.Do(req)
-		if err != nil {
+			cancel()
 			sr.rt.markDown(rep)
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
 			resp.Body.Close()
+			cancel()
 			continue
 		}
-		sr.body = resp.Body
-		sr.dec = json.NewDecoder(resp.Body)
+		sr.body, sr.cancel = resp.Body, cancel
+		if sr.br == nil {
+			sr.br = bufio.NewReader(resp.Body)
+		} else {
+			sr.br.Reset(resp.Body)
+		}
 		sr.sawSum = false // a fresh stream carries its own summary
 		// Skip the already-consumed prefix.
 		ok := true
 		for i := 0; i < sr.consumed; i++ {
-			if _, err := sr.rawLine(); err != nil {
+			if head, err := sr.readLine(); err != nil || head.done {
 				ok = false
 				break
 			}
@@ -180,63 +209,83 @@ func (sr *shardReader) open(ctx context.Context) error {
 	return fmt.Errorf("no replicas left for shard (%d tried)", len(sr.cands))
 }
 
-// rawLine decodes the next NDJSON value, distinguishing a row from the
-// terminal summary. It returns nil when the line was the summary.
-func (sr *shardReader) rawLine() (*sweep.Row, error) {
-	var raw json.RawMessage
-	if err := sr.dec.Decode(&raw); err != nil {
-		return nil, err
+// readLine reads the next NDJSON line into sr.line and decodes a row's
+// head, or a summary line whole into sr.sum.
+func (sr *shardReader) readLine() (rowHead, error) {
+	sr.line = sr.line[:0]
+	for {
+		frag, err := sr.br.ReadSlice('\n')
+		sr.line = append(sr.line, frag...)
+		if err == nil {
+			break
+		}
+		if err != bufio.ErrBufferFull {
+			return rowHead{}, err // a line cut short, or the stream's end
+		}
 	}
-	var probe struct {
-		Done bool `json:"done"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return nil, err
-	}
-	if probe.Done {
-		if err := json.Unmarshal(raw, &sr.sum); err != nil {
-			return nil, err
+	if bytes.HasPrefix(sr.line, []byte(doneKey)) {
+		if err := json.Unmarshal(sr.line, &sr.sum); err != nil {
+			return rowHead{}, err
 		}
 		sr.sawSum = true
-		return nil, nil
+		return rowHead{done: true}, nil
 	}
-	var row sweep.Row
-	if err := json.Unmarshal(raw, &row); err != nil {
-		return nil, err
-	}
-	return &row, nil
+	var head rowHead
+	err := json.Unmarshal(sr.line, &head)
+	return head, err
 }
 
-// next returns the shard's next row, reconnecting on stream failure.
-func (sr *shardReader) next(ctx context.Context) (sweep.Row, error) {
+// spliceIndex returns line, a row whose index is from, with its
+// leading {"index":from rewritten to {"index":to, built in dst's
+// storage. ok is false when line does not begin that way.
+func spliceIndex(dst, line []byte, from, to int) (out []byte, ok bool) {
+	dst = strconv.AppendInt(append(dst[:0], indexKey...), int64(from), 10)
+	n := len(dst)
+	if !bytes.HasPrefix(line, dst) || n < len(line) && '0' <= line[n] && line[n] <= '9' {
+		return dst[:0], false
+	}
+	dst = strconv.AppendInt(dst[:len(indexKey)], int64(to), 10)
+	return append(dst, line[n:]...), true
+}
+
+// next returns the shard's next row, as its line with the index
+// rewritten to the global index g, and its head. It reconnects on
+// stream failure; the line is valid until the next call.
+func (sr *shardReader) next(ctx context.Context, g int) ([]byte, rowHead, error) {
 	for {
 		if sr.dead {
-			return sweep.Row{}, fmt.Errorf("shard stream dead")
+			return nil, rowHead{}, fmt.Errorf("shard stream dead")
 		}
-		if sr.dec == nil {
+		if sr.body == nil {
 			if err := sr.open(ctx); err != nil {
-				return sweep.Row{}, err
+				return nil, rowHead{}, err
 			}
 		}
-		row, err := sr.rawLine()
+		head, err := sr.readLine()
+		if err == nil && !head.done {
+			var ok bool
+			if sr.out, ok = spliceIndex(sr.out, sr.line, head.Index, g); !ok {
+				err = fmt.Errorf("row %d does not begin with its index", sr.consumed)
+			}
+		}
 		if err != nil {
 			// Mid-stream failure: drop the connection, fail over, re-skip.
 			sr.close()
 			if ctx.Err() != nil {
 				sr.dead = true
-				return sweep.Row{}, ctx.Err()
+				return nil, rowHead{}, ctx.Err()
 			}
 			continue
 		}
-		if row == nil { // summary before all rows arrived: short stream
+		if head.done { // summary before all rows arrived: short stream
 			if sr.consumed < len(sr.cells) {
 				sr.close()
 				continue
 			}
-			return sweep.Row{}, fmt.Errorf("shard stream ended early")
+			return nil, rowHead{}, fmt.Errorf("shard stream ended early")
 		}
 		sr.consumed++
-		return *row, nil
+		return sr.out, head, nil
 	}
 }
 
@@ -246,12 +295,12 @@ func (sr *shardReader) finish(ctx context.Context) string {
 	if sr.dead {
 		return "one or more shards unreachable"
 	}
-	for !sr.sawSum && sr.dec != nil {
-		row, err := sr.rawLine()
+	for !sr.sawSum && sr.body != nil {
+		head, err := sr.readLine()
 		if err != nil {
 			return fmt.Sprintf("shard summary lost: %v", err)
 		}
-		if row != nil {
+		if !head.done {
 			// More rows than cells: a protocol violation worth surfacing.
 			return "shard streamed extra rows"
 		}
@@ -262,7 +311,7 @@ func (sr *shardReader) finish(ctx context.Context) string {
 func (sr *shardReader) close() {
 	if sr.body != nil {
 		sr.body.Close()
-		sr.body = nil
-		sr.dec = nil
+		sr.cancel()
+		sr.body, sr.cancel = nil, nil
 	}
 }

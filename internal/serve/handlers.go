@@ -29,11 +29,11 @@ func (s *Server) routes() {
 	for _, k := range query.Kinds() {
 		s.mux.HandleFunc("/v1/"+k.Name, s.instrument(k.Name, s.point(k)))
 	}
-	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", s.handleSweep))
-	s.mux.HandleFunc("/v1/cells", s.instrument("cells", s.handleCells))
-	s.mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("/metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.HandleFunc("/v1/stats", s.instrument("stats", s.handleStats))
+	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", s.withDeadline(s.handleSweep)))
+	s.mux.HandleFunc("/v1/cells", s.instrument("cells", s.withDeadline(s.handleCells)))
+	s.mux.HandleFunc("/healthz", s.instrument("healthz", s.withDeadline(s.handleHealthz)))
+	s.mux.HandleFunc("/metrics", s.instrument("metrics", s.withDeadline(s.handleMetrics)))
+	s.mux.HandleFunc("/v1/stats", s.instrument("stats", s.withDeadline(s.handleStats)))
 }
 
 // statusWriter records the status code written by a handler.
@@ -47,19 +47,38 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a handler with in-flight accounting, the
-// per-request deadline, and request-count/latency metrics.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+// timedHandler is an endpoint handler that is told when its request
+// entered the server: its deadline is that instant plus RequestTimeout.
+type timedHandler func(w http.ResponseWriter, r *http.Request, start time.Time)
+
+// instrument wraps a handler with in-flight accounting and
+// request-count/latency metrics. The handler arms the request's
+// deadline itself (withDeadline, or the point handler once a request
+// waits for work).
+func (s *Server) instrument(endpoint string, h timedHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
-		h(sw, r.WithContext(ctx))
+		h(sw, r, start)
 		s.metrics.observe(endpoint, sw.code, time.Since(start))
 	}
+}
+
+// withDeadline runs h under the request's deadline.
+func (s *Server) withDeadline(h http.HandlerFunc) timedHandler {
+	return func(w http.ResponseWriter, r *http.Request, start time.Time) {
+		ctx, cancel := s.deadline(r, start)
+		defer cancel()
+		h(w, r.WithContext(ctx))
+	}
+}
+
+// deadline derives the context of a request that entered the server at
+// start: it ends at start plus RequestTimeout, or when r's own does.
+func (s *Server) deadline(r *http.Request, start time.Time) (context.Context, context.CancelFunc) {
+	return context.WithDeadline(r.Context(), start.Add(s.cfg.RequestTimeout))
 }
 
 // writeJSON emits v with the given status.
@@ -114,22 +133,21 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 // point answers one point endpoint of kind k. The body is read whole
 // into a pooled buffer behind the kind's alias prefix, so a request
 // whose exact bytes already hit an entry is answered by one alias
-// lookup and one write of the stored body, with no JSON work. Any
-// other request is strictly decoded and answered through s.do, so
-// repeated queries are cache hits keyed by the request's fingerprint;
-// a hit records the request's alias and stores the encoded body. Every
-// point response Text is byte-identical to the matching ctmodel
-// stdout.
-func (s *Server) point(k *query.Kind) http.HandlerFunc {
+// lookup and one write of the stored body, with no JSON work and no
+// deadline: it never waits, so only its own context's end fails it.
+// Any other request is strictly decoded and answered through s.do
+// under the request deadline, so repeated queries are cache hits keyed
+// by the request's fingerprint; a hit records the request's alias and
+// stores the encoded body. Every point response Text is byte-identical
+// to the matching ctmodel stdout.
+func (s *Server) point(k *query.Kind) timedHandler {
 	prefix := k.Name + "\n"
-	return func(w http.ResponseWriter, r *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request, start time.Time) {
 		if !requirePost(w, r) {
 			return
 		}
-		buf := bodyPool.Get().(*bytes.Buffer)
-		defer putBody(buf)
-		buf.WriteString(prefix)
-		_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		buf, readErr := ReadBody(w, r, prefix)
+		defer PutBody(buf)
 		var alias []byte
 		if readErr == nil {
 			alias = buf.Bytes()
@@ -155,7 +173,9 @@ func (s *Server) point(k *query.Kind) http.HandlerFunc {
 			s.writeError(w, err)
 			return
 		}
-		val, e, err := s.do(r.Context(), req.Fingerprint(), func() (interface{}, error) {
+		ctx, cancel := s.deadline(r, start)
+		defer cancel()
+		val, e, err := s.do(ctx, req.Fingerprint(), func() (interface{}, error) {
 			val, _, err := k.Answer(req, nil)
 			return val, err
 		})
@@ -190,7 +210,7 @@ func encodeOK(v interface{}) []byte {
 		return []byte{} // writeJSON writes nothing for a value that fails to encode
 	}
 	b := bodyPool.Get().(*bytes.Buffer)
-	defer putBody(b)
+	defer PutBody(b)
 	_ = json.Indent(b, compact, "", "  ") // Marshal's output is valid JSON
 	b.WriteByte('\n')
 	return append(make([]byte, 0, b.Len()), b.Bytes()...)
@@ -199,9 +219,20 @@ func encodeOK(v interface{}) []byte {
 // bodyPool recycles the buffers point request bodies are read into.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// putBody returns a body buffer to the pool unless it grew past what
+// ReadBody reads r's body, bounded as every ctserved endpoint bounds
+// it, into a pooled buffer after prefix. The buffer holds what was
+// read even when err is not nil; return it with PutBody once nothing
+// reads it any more.
+func ReadBody(w http.ResponseWriter, r *http.Request, prefix string) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.WriteString(prefix)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return buf, err
+}
+
+// PutBody returns a body buffer to the pool unless it grew past what
 // typical point requests need, so one large body does not stay pinned.
-func putBody(b *bytes.Buffer) {
+func PutBody(b *bytes.Buffer) {
 	if b.Cap() <= 64<<10 {
 		b.Reset()
 		bodyPool.Put(b)

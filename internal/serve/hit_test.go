@@ -406,3 +406,39 @@ func TestExpiredContextFailsBeforeAliasHit(t *testing.T) {
 		t.Errorf("hits %d, alias hits %d; want 1 and 0", st.Hits, st.AliasHits)
 	}
 }
+
+// An alias hit (hash the raw body, look up its entry, write the stored
+// bytes) arms no deadline: it allocates at most aliasHitAllocs times
+// through the whole handler stack. Arming the request deadline and
+// copying the request for it, as every request did before, costs 5
+// more.
+func TestAliasHitAllocations(t *testing.T) {
+	const aliasHitAllocs = 3
+	if raceEnabled {
+		t.Skip("a -race build drops pooled body buffers at random")
+	}
+	s := newTestServer(t, Config{})
+	body := `{"machine":"t3d","expr":"1C64"}`
+	for i := 0; i < 2; i++ { // the miss, then the hit that records the alias
+		post(s, "/v1/eval", body)
+	}
+	const runs = 200
+	reqs := make([]*http.Request, runs+1)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/eval", strings.NewReader(body))
+	}
+	w := &responseRecorderLite{header: http.Header{}}
+	i := 0
+	h := s.Handler()
+	n := testing.AllocsPerRun(runs, func() {
+		clear(w.header)
+		h.ServeHTTP(w, reqs[i])
+		i++
+	})
+	if st := s.Snapshot().Cache; st.AliasHits != runs+1 || w.Code != http.StatusOK {
+		t.Fatalf("alias hits %d, last code %d; want %d hits answered 200", st.AliasHits, w.Code, runs+1)
+	}
+	if n > aliasHitAllocs {
+		t.Errorf("an alias hit allocates %v times, want at most %d", n, aliasHitAllocs)
+	}
+}
