@@ -77,37 +77,12 @@ router-smoke:
 load-test:
 	$(GO) run ./cmd/ctloadtest
 
+# Every fuzz target, one after another; scripts/fuzz.sh holds the list.
 fuzz:
-	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/model/
-	$(GO) test -fuzz 'FuzzParseTerm$$' -fuzztime 15s ./internal/model/
-	$(GO) test -fuzz 'FuzzParseSpec$$' -fuzztime 15s ./internal/pattern/
-	$(GO) test -fuzz 'FuzzStreamOps$$' -fuzztime 30s ./internal/pattern/
-	$(GO) test -fuzz 'FuzzStreamEquivalence$$' -fuzztime 30s ./internal/memsim/
-	$(GO) test -fuzz 'FuzzSweepAnalytic$$' -fuzztime 30s ./internal/sweep/
-	$(GO) test -fuzz 'FuzzCollectiveSchedule$$' -fuzztime 30s ./internal/collective/
-	$(GO) test -fuzz 'FuzzCollectiveWordsLaw$$' -fuzztime 30s ./internal/query/
-	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 30s ./internal/serve/
-	$(GO) test -fuzz 'FuzzRoutedPointBytes$$' -fuzztime 30s ./internal/router/
-	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 30s ./internal/netsim/
-	$(GO) test -fuzz 'FuzzCertifiedLawMatchesReference$$' -fuzztime 30s ./internal/xfer/
-	$(GO) test -fuzz 'FuzzReusedSimulatorMatchesFresh$$' -fuzztime 30s ./internal/machine/
-	$(GO) test -fuzz 'FuzzPlanMatchesReference$$' -fuzztime 30s ./internal/distrib/
+	GO=$(GO) sh scripts/fuzz.sh 30s
 
 fuzz-smoke:
-	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/model/
-	$(GO) test -fuzz 'FuzzParseTerm$$' -fuzztime 10s ./internal/model/
-	$(GO) test -fuzz 'FuzzParseSpec$$' -fuzztime 10s ./internal/pattern/
-	$(GO) test -fuzz 'FuzzStreamOps$$' -fuzztime 10s ./internal/pattern/
-	$(GO) test -fuzz 'FuzzStreamEquivalence$$' -fuzztime 10s ./internal/memsim/
-	$(GO) test -fuzz 'FuzzSweepAnalytic$$' -fuzztime 10s ./internal/sweep/
-	$(GO) test -fuzz 'FuzzCollectiveSchedule$$' -fuzztime 10s ./internal/collective/
-	$(GO) test -fuzz 'FuzzCollectiveWordsLaw$$' -fuzztime 10s ./internal/query/
-	$(GO) test -fuzz 'FuzzPointHitBytes$$' -fuzztime 10s ./internal/serve/
-	$(GO) test -fuzz 'FuzzRoutedPointBytes$$' -fuzztime 10s ./internal/router/
-	$(GO) test -fuzz 'FuzzBatchMatchesReference$$' -fuzztime 10s ./internal/netsim/
-	$(GO) test -fuzz 'FuzzCertifiedLawMatchesReference$$' -fuzztime 10s ./internal/xfer/
-	$(GO) test -fuzz 'FuzzReusedSimulatorMatchesFresh$$' -fuzztime 10s ./internal/machine/
-	$(GO) test -fuzz 'FuzzPlanMatchesReference$$' -fuzztime 10s ./internal/distrib/
+	GO=$(GO) sh scripts/fuzz.sh 10s
 
 gofmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

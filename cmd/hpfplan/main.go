@@ -67,6 +67,12 @@ func run(args []string, out io.Writer) (int, error) {
 	if *transFlag < 0 {
 		return 2, fmt.Errorf("-transpose must be positive, got %d", *transFlag)
 	}
+	// Well-formed flags with no plan: a transpose the processors do not
+	// divide is an execution failure here, though query.Plan rejects it
+	// as a bad request.
+	if *transFlag > 0 && *transFlag%*pFlag != 0 {
+		return 1, fmt.Errorf("-p %d does not divide -transpose %d", *pFlag, *transFlag)
+	}
 
 	resp, err := query.Plan(query.PlanRequest{
 		Machine:   *machineFlag,

@@ -181,30 +181,13 @@ func (s *Schedule) MaxCongestion(topo netsim.Topology, nodesPerPort int) float64
 	return max
 }
 
-// Makespan simulates the schedule on the event-level network: phases
-// run one after another (separated by barrierNs), and within a phase
-// all exchanges proceed concurrently. bytesPerPair is the personalized
-// block size (scaled per phase by the Blocks multiplier, if set).
-func (s *Schedule) Makespan(net *netsim.Network, bytesPerPair int64, mode netsim.Mode, barrierNs float64) sim.Time {
-	var t sim.Time
-	for pi := range s.Phases {
-		_, end := net.Batch(t, s.PhaseFlows(pi, bytesPerPair), mode)
-		t = end + sim.Time(barrierNs)
-	}
-	return t
-}
-
-// UnscheduledMakespan simulates the naive alternative: every node
-// injects all of its n-1 personalized messages at once.
-func UnscheduledMakespan(net *netsim.Network, nodes int, bytesPerPair int64, mode netsim.Mode) sim.Time {
-	_, end := net.Batch(0, netsim.AllToAll(nodes, bytesPerPair), mode)
-	return end
-}
-
-// MakespanCircuit is Makespan under the blocking-wormhole (circuit)
-// network model, where a message holds its whole path: the regime in
-// which phase scheduling pays off in completion time, not just in
-// bounded congestion.
+// MakespanCircuit simulates the schedule under the blocking-wormhole
+// (circuit) network model, where a message holds its whole path: the
+// regime in which phase scheduling pays off in completion time, not
+// just in bounded congestion. Phases run one after another, separated
+// by barrierNs, and within a phase all exchanges proceed concurrently.
+// bytesPerPair is the personalized block size (scaled per phase by the
+// Blocks multiplier, if set).
 func (s *Schedule) MakespanCircuit(net *netsim.Network, bytesPerPair int64, mode netsim.Mode, barrierNs float64) sim.Time {
 	var t sim.Time
 	for pi := range s.Phases {

@@ -6,7 +6,18 @@ import (
 
 	"ctcomm/internal/machine"
 	"ctcomm/internal/netsim"
+	"ctcomm/internal/sim"
 )
+
+// packetMakespan runs the schedule's phases back to back on the packet
+// network, each phase as one netsim.Batch.
+func packetMakespan(s *Schedule, net *netsim.Network, bytesPerPair int64, mode netsim.Mode) sim.Time {
+	var t sim.Time
+	for pi := range s.Phases {
+		_, t = net.Batch(t, s.PhaseFlows(pi, bytesPerPair), mode)
+	}
+	return t
+}
 
 func TestShiftScheduleValid(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8, 16, 64} {
@@ -128,9 +139,9 @@ func TestMakespanScheduledVsNaive(t *testing.T) {
 	}
 	const bytesPerPair = 4096
 	netScheduled := netsim.MustNewNetwork(m.Topo, m.Net)
-	scheduled := s.Makespan(netScheduled, bytesPerPair, netsim.DataOnly, 0)
+	scheduled := packetMakespan(s, netScheduled, bytesPerPair, netsim.DataOnly)
 	netNaive := netsim.MustNewNetwork(m.Topo, m.Net)
-	naive := UnscheduledMakespan(netNaive, m.Nodes(), bytesPerPair, netsim.DataOnly)
+	_, naive := netNaive.Batch(0, netsim.AllToAll(m.Nodes(), bytesPerPair), netsim.DataOnly)
 	if scheduled <= 0 || naive <= 0 {
 		t.Fatal("zero makespan")
 	}
@@ -155,9 +166,9 @@ func TestMakespanBarrierAccumulates(t *testing.T) {
 	m := machine.T3D()
 	s, _ := XOR(4)
 	net1 := netsim.MustNewNetwork(m.Topo, m.Net)
-	without := s.Makespan(net1, 1024, netsim.DataOnly, 0)
+	without := s.MakespanCircuit(net1, 1024, netsim.DataOnly, 0)
 	net2 := netsim.MustNewNetwork(m.Topo, m.Net)
-	with := s.Makespan(net2, 1024, netsim.DataOnly, 1000)
+	with := s.MakespanCircuit(net2, 1024, netsim.DataOnly, 1000)
 	wantExtra := float64(len(s.Phases)) * 1000
 	if got := float64(with - without); got < wantExtra*0.99 || got > wantExtra*1.01 {
 		t.Errorf("barrier time accounted %.0f, want %.0f", got, wantExtra)

@@ -30,20 +30,6 @@ func FlopsFFT2D(n int) float64 {
 	return 2 * float64(n) * 5 * float64(n) * log2(float64(n))
 }
 
-// FlopsSORSweep returns the flop count of one red-black SOR sweep over
-// a g x g grid: about 6 flops per interior point.
-func FlopsSORSweep(g int) float64 {
-	interior := float64(g-2) * float64(g-2)
-	return 6 * interior
-}
-
-// FlopsCGIter returns the flop count of one conjugate-gradient
-// iteration: the sparse matrix-vector product (2 flops per nonzero)
-// plus the vector updates and dot products (about 10 flops per row).
-func FlopsCGIter(nonzeros, rows int) float64 {
-	return 2*float64(nonzeros) + 10*float64(rows)
-}
-
 // CommFraction returns the share of total kernel time spent in the
 // communication step.
 func CommFraction(commNs, computeNs float64) float64 {

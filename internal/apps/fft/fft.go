@@ -91,39 +91,3 @@ func Transpose(a [][]complex128) [][]complex128 {
 	}
 	return out
 }
-
-// FFT2D computes the in-place 2D FFT of a square power-of-two matrix:
-// row FFTs, transpose, row FFTs (i.e. column FFTs), transpose back.
-func FFT2D(a [][]complex128, inverse bool) ([][]complex128, error) {
-	n := len(a)
-	for _, row := range a {
-		if len(row) != n {
-			return nil, fmt.Errorf("fft: matrix is not square")
-		}
-	}
-	for _, row := range a {
-		if err := FFT(row, inverse); err != nil {
-			return nil, err
-		}
-	}
-	t := Transpose(a)
-	for _, row := range t {
-		if err := FFT(row, inverse); err != nil {
-			return nil, err
-		}
-	}
-	return Transpose(t), nil
-}
-
-// DFT2D is the naive reference 2D transform.
-func DFT2D(a [][]complex128) [][]complex128 {
-	rows := make([][]complex128, len(a))
-	for i, r := range a {
-		rows[i] = DFT(r)
-	}
-	t := Transpose(rows)
-	for j, c := range t {
-		t[j] = DFT(c)
-	}
-	return Transpose(t)
-}

@@ -33,12 +33,6 @@ func TestComputeEstimates(t *testing.T) {
 	if ns < 30e6 || ns > 36e6 {
 		t.Errorf("per-node FFT compute = %g ns", ns)
 	}
-	if got := FlopsSORSweep(256); got != 6*254*254 {
-		t.Errorf("SOR sweep flops = %g", got)
-	}
-	if got := FlopsCGIter(1000, 100); got != 3000 {
-		t.Errorf("CG iter flops = %g", got)
-	}
 	if CommFraction(1, 3) != 0.25 {
 		t.Error("CommFraction wrong")
 	}

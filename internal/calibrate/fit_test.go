@@ -1,7 +1,9 @@
 package calibrate
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -162,7 +164,11 @@ func TestFittedProfileRoundTripsJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/fitted.json"
-	if err := res.Machine.SaveFile(path); err != nil {
+	data, err := json.Marshal(res.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := machine.LoadFile(path)

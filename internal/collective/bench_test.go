@@ -9,7 +9,7 @@ import "testing"
 func BenchmarkCollectivePlan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, op := range Ops() {
+		for _, op := range allOps {
 			for _, st := range Strategies() {
 				p, err := New(op, st, 64, 1)
 				if err != nil {

@@ -54,9 +54,6 @@ const (
 	Reduce    Op = "reduce"
 )
 
-// Ops lists the supported operations in canonical order.
-func Ops() []Op { return []Op{AllToAll, Broadcast, Shift, Reduce} }
-
 // ParseOp resolves an operation name (case-insensitive; "alltoall"
 // and "a2a" are accepted aliases for "all-to-all").
 func ParseOp(s string) (Op, error) {

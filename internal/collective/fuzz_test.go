@@ -20,7 +20,7 @@ func FuzzCollectiveSchedule(f *testing.F) {
 	f.Add(uint8(0), uint8(2), 13, 2) // prime: hyper-systolic must reject
 	f.Add(uint8(3), uint8(1), 24, 0) // non-pow2: doubling must reject
 	f.Fuzz(func(t *testing.T, opSel, stSel uint8, nodes, offset int) {
-		op := Ops()[int(opSel)%len(Ops())]
+		op := allOps[int(opSel)%len(allOps)]
 		st := Strategies()[int(stSel)%len(Strategies())]
 		if nodes > 256 {
 			nodes = nodes%255 + 2 // keep O(n^2) schedules fuzz-sized

@@ -69,7 +69,7 @@ func TestWordsLawBitIdentical(t *testing.T) {
 	}
 	for _, m := range machine.AllProfiles() {
 		s := NewSession()
-		for _, op := range Ops() {
+		for _, op := range allOps {
 			for _, st := range Strategies() {
 				p, err := New(op, st, nodes, 3)
 				if err != nil {

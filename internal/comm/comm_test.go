@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"math"
 	"testing"
 
 	"ctcomm/internal/machine"
@@ -175,6 +176,35 @@ func TestDuplexChainedUnaffectedOnT3D(t *testing.T) {
 	}
 }
 
+// TestDuplexMemoryBusCap checks the paper's resource constraint (§3.4,
+// rule "<") where it is applied: with every node sending and receiving
+// at once, twice an operation's rate crosses the node's memory bus, so
+// a duplex operation runs at most at BusMBps/2, and exactly there when
+// the bus is the bottleneck.
+func TestDuplexMemoryBusCap(t *testing.T) {
+	for _, m := range []*machine.Machine{machine.T3D(), machine.Paragon()} {
+		for _, style := range []Style{BufferPacking, Chained, Direct, PVM} {
+			res, err := Run(m, style, pattern.Contig(), pattern.Contig(), Options{Words: bigWords, Duplex: true})
+			if err != nil {
+				t.Fatalf("%s %v: %v", m.Name, style, err)
+			}
+			if res.MBps() > m.BusMBps/2 {
+				t.Errorf("%s %v duplex %.1f MB/s exceeds half the %.0f MB/s bus", m.Name, style, res.MBps(), m.BusMBps)
+			}
+		}
+	}
+	m := machine.T3D()
+	m.BusMBps = 20
+	for _, style := range []Style{BufferPacking, Chained, Direct, PVM} {
+		free := run(t, m, style, pattern.Contig(), pattern.Contig(), Options{})
+		dup := run(t, m, style, pattern.Contig(), pattern.Contig(), Options{Duplex: true})
+		if free.MBps() <= m.BusMBps/2 || dup.MBps() != m.BusMBps/2 {
+			t.Errorf("%v on a %.0f MB/s bus: duplex %v MB/s, want exactly %v (pairwise %.1f)",
+				style, m.BusMBps, dup.MBps(), m.BusMBps/2, free.MBps())
+		}
+	}
+}
+
 func TestCongestionReducesThroughput(t *testing.T) {
 	m := machine.T3D()
 	c2 := run(t, m, Chained, pattern.Contig(), pattern.Contig(), Options{Congestion: 2})
@@ -270,8 +300,11 @@ func TestFig1CurveIsHockneyShaped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := c.RelErr(sizes, rates); e > 0.05 {
-			t.Errorf("%v: Hockney fit error %.3f", style, e)
+		for i, bytes := range sizes {
+			got := float64(bytes) * 1e3 / (c.StartupNs + float64(bytes)*1e3/c.RInfMBps)
+			if e := math.Abs(got-rates[i]) / rates[i]; e > 0.05 {
+				t.Errorf("%v: Hockney fit error %.3f at %d B", style, e, bytes)
+			}
 		}
 		return c
 	}

@@ -19,23 +19,14 @@ import (
 // Datatype describes the memory layout of a communication buffer in
 // 64-bit word units.
 type Datatype struct {
-	name string
-	// offsets are the word offsets of the datatype's elements relative
-	// to the buffer start, in transfer order.
-	offsets []int64
+	// words is the number of payload words.
+	words int
 	// spec is the classified symbolic pattern.
 	spec pattern.Spec
 }
 
-// Name returns a diagnostic name ("vector(16,2,64)" etc.).
-func (d *Datatype) Name() string { return d.name }
-
 // Words returns the number of payload words the datatype covers.
-func (d *Datatype) Words() int { return len(d.offsets) }
-
-// Offsets returns the word offsets in transfer order. The slice is
-// shared; callers must not modify it.
-func (d *Datatype) Offsets() []int64 { return d.offsets }
+func (d *Datatype) Words() int { return d.words }
 
 // Spec returns the copy-transfer pattern class of the datatype:
 // contiguous, (block-)strided, or indexed.
@@ -51,7 +42,7 @@ func Contiguous(count int) (*Datatype, error) {
 	for i := range offs {
 		offs[i] = int64(i)
 	}
-	return build(fmt.Sprintf("contiguous(%d)", count), offs)
+	return build(offs)
 }
 
 // Vector returns count blocks of blocklen words separated by stride
@@ -66,7 +57,7 @@ func Vector(count, blocklen, stride int) (*Datatype, error) {
 			offs = append(offs, int64(b*stride+w))
 		}
 	}
-	return build(fmt.Sprintf("vector(%d,%d,%d)", count, blocklen, stride), offs)
+	return build(offs)
 }
 
 // Indexed returns blocks of the given lengths at the given
@@ -93,54 +84,14 @@ func Indexed(blocklens []int, displs []int64) (*Datatype, error) {
 			offs = append(offs, o)
 		}
 	}
-	return build(fmt.Sprintf("indexed(%d blocks)", len(blocklens)), offs)
+	return build(offs)
 }
 
 // build classifies the offsets and wraps them.
-func build(name string, offs []int64) (*Datatype, error) {
+func build(offs []int64) (*Datatype, error) {
 	spec, err := distrib.Classify(offs)
 	if err != nil {
 		return nil, err
 	}
-	return &Datatype{name: name, offsets: offs, spec: spec}, nil
-}
-
-// Pack gathers the datatype's elements from buf into a dense slice —
-// what an MPI library's packing path does before a buffer-packing send.
-func (d *Datatype) Pack(buf []float64) ([]float64, error) {
-	out := make([]float64, len(d.offsets))
-	for i, o := range d.offsets {
-		if o < 0 || o >= int64(len(buf)) {
-			return nil, fmt.Errorf("datatype: offset %d outside buffer of %d words", o, len(buf))
-		}
-		out[i] = buf[o]
-	}
-	return out, nil
-}
-
-// Unpack scatters dense data into buf per the datatype — the receive
-// side of the packing path.
-func (d *Datatype) Unpack(data []float64, buf []float64) error {
-	if len(data) != len(d.offsets) {
-		return fmt.Errorf("datatype: %d values for %d elements", len(data), len(d.offsets))
-	}
-	for i, o := range d.offsets {
-		if o < 0 || o >= int64(len(buf)) {
-			return fmt.Errorf("datatype: offset %d outside buffer of %d words", o, len(buf))
-		}
-		buf[o] = data[i]
-	}
-	return nil
-}
-
-// Extent returns the span in words from offset 0 to one past the
-// highest element.
-func (d *Datatype) Extent() int64 {
-	max := int64(0)
-	for _, o := range d.offsets {
-		if o+1 > max {
-			max = o + 1
-		}
-	}
-	return max
+	return &Datatype{words: len(offs), spec: spec}, nil
 }

@@ -26,18 +26,3 @@ func Send(m *machine.Machine, style comm.Style, sendType, recvType *Datatype, op
 	opt.Words = sendType.Words()
 	return comm.Run(m, style, sendType.Spec(), recvType.Spec(), opt)
 }
-
-// Transfer moves real data end to end through the functional path
-// (pack, wire, unpack) and returns the updated receive buffer — the
-// correctness counterpart of Send's timing.
-func Transfer(sendType, recvType *Datatype, sendBuf, recvBuf []float64) error {
-	if sendType.Words() != recvType.Words() {
-		return fmt.Errorf("datatype: send covers %d words, recv %d (type mismatch)",
-			sendType.Words(), recvType.Words())
-	}
-	wire, err := sendType.Pack(sendBuf)
-	if err != nil {
-		return err
-	}
-	return recvType.Unpack(wire, recvBuf)
-}

@@ -56,20 +56,6 @@ func (d Dist2D) LocalOffset(i, j int) int {
 	return d.Row.LocalOffset(i)*lc + d.Col.LocalOffset(j)
 }
 
-// Flatten converts the 2D distribution into an equivalent 1D indexed
-// distribution over the row-major element index, so the 1D planner can
-// compute transfers between arbitrary 2D layouts.
-func (d Dist2D) Flatten() (Distribution, error) {
-	owner := make([]int, d.Rows*d.Cols)
-	for i := 0; i < d.Rows; i++ {
-		ri := d.Row.OwnerOf(i) * d.Col.P
-		for j := 0; j < d.Cols; j++ {
-			owner[i*d.Cols+j] = ri + d.Col.OwnerOf(j)
-		}
-	}
-	return NewIndexed(owner, d.Procs())
-}
-
 // Plan2D computes the redistribution plan between two 2D layouts of the
 // same array over the same processor count. The transfers carry local
 // offsets in each side's row-major tile layout, with patterns

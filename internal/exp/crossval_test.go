@@ -15,6 +15,7 @@ import (
 	"ctcomm/internal/machine"
 	"ctcomm/internal/netsim"
 	"ctcomm/internal/pattern"
+	"ctcomm/internal/sim"
 )
 
 func TestEventNetworkMatchesAnalyticChainedTranspose(t *testing.T) {
@@ -41,7 +42,10 @@ func TestEventNetworkMatchesAnalyticChainedTranspose(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := netsim.MustNewNetwork(m.Topo, m.Net)
-	makespan := sched.Makespan(net, patchWords*8, netsim.AddrData, 0)
+	var makespan sim.Time
+	for pi := range sched.Phases {
+		_, makespan = net.Batch(makespan, sched.PhaseFlows(pi, patchWords*8), netsim.AddrData)
+	}
 	eventNs := float64(makespan)
 
 	ratio := eventNs / analyticNs

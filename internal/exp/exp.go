@@ -8,7 +8,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -141,19 +140,6 @@ func ByID(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("exp: unknown experiment %q; valid ids: %s", id, strings.Join(IDs(), ", "))
-}
-
-// RunAndRender executes the experiment and writes its tables and check
-// results to w. It returns the shape-check failures.
-func (e Experiment) RunAndRender(w io.Writer, cfg Config) ([]string, error) {
-	r := e.Execute(cfg)
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	if _, err := io.WriteString(w, r.Output); err != nil {
-		return nil, err
-	}
-	return r.Failures, nil
 }
 
 // check collects shape assertions. The zero value works (failures only);

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -48,15 +47,14 @@ func TestQuickShapesPass(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			failures, err := e.RunAndRender(&buf, Config{Quick: true})
-			if err != nil {
-				t.Fatal(err)
+			r := e.Execute(Config{Quick: true})
+			if r.Err != nil {
+				t.Fatal(r.Err)
 			}
-			for _, f := range failures {
+			for _, f := range r.Failures {
 				t.Errorf("shape check failed: %s", f)
 			}
-			if !strings.Contains(buf.String(), e.Title) {
+			if !strings.Contains(r.Output, e.Title) {
 				t.Error("rendered output missing the title")
 			}
 		})
@@ -70,12 +68,11 @@ func TestFullScaleShapes(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			failures, err := e.RunAndRender(&buf, Config{})
-			if err != nil {
-				t.Fatal(err)
+			r := e.Execute(Config{})
+			if r.Err != nil {
+				t.Fatal(r.Err)
 			}
-			for _, f := range failures {
+			for _, f := range r.Failures {
 				t.Errorf("shape check failed: %s", f)
 			}
 		})

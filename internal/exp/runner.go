@@ -26,9 +26,7 @@ type Result struct {
 }
 
 // Execute runs the experiment once with a private stats collector and
-// check tally, and renders its output into Result.Output. The rendering
-// is byte-identical to what RunAndRender historically wrote, which is
-// the invariant the parallel runner relies on.
+// check tally, and renders its output into Result.Output.
 func (e Experiment) Execute(cfg Config) Result {
 	st, tl := new(sim.Stats), new(tally)
 	cfg.Stats, cfg.tally = st, tl

@@ -45,22 +45,6 @@ func TestExecuteCollectsMetrics(t *testing.T) {
 	}
 }
 
-// Execute must match what RunAndRender writes, byte for byte.
-func TestExecuteMatchesRunAndRender(t *testing.T) {
-	e, err := ByID("tab1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := e.Execute(Config{Quick: true})
-	var buf strings.Builder
-	if _, err := e.RunAndRender(&buf, Config{Quick: true}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Err != nil || r.Output != buf.String() {
-		t.Errorf("Execute output diverges from RunAndRender (err %v)", r.Err)
-	}
-}
-
 func TestRunParallelClampsWorkers(t *testing.T) {
 	for _, workers := range []int{-3, 0, 1, 99} {
 		results, err := RunParallel(Config{Quick: true}, []string{"tab4"}, workers)

@@ -152,15 +152,6 @@ func (m *Machine) UnmarshalJSON(data []byte) error {
 	return badSpec(m.Validate())
 }
 
-// SaveFile writes the machine definition as JSON.
-func (m *Machine) SaveFile(path string) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // LoadFile reads and validates a machine definition from JSON.
 func LoadFile(path string) (*Machine, error) {
 	data, err := os.ReadFile(path)

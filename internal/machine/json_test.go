@@ -37,9 +37,11 @@ func TestSaveLoadFile(t *testing.T) {
 	m := T3D()
 	m.Name = "Custom T3D"
 	m.Deposit.MinUnitWords = 4
-	if err := m.SaveFile(path); err != nil {
+	data, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
+	writeFile(t, path, string(data))
 	back, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,6 @@ import (
 // mechanisms (read-ahead, write queue, prefetch queue, engine
 // restrictions) are structural, not fitted per experiment.
 
-// T3DNodes is the default partition size used in the paper's
-// application measurements (a 64-node partition of a 512-node T3D).
-const T3DNodes = 64
-
 // mustProfile unwraps a built-in constructor. The static built-in specs
 // are known good; a failure here is a programmer error in this file,
 // never reachable from user input (loaded or sized specs go through the
@@ -103,9 +99,6 @@ func NewT3D() (*Machine, error) {
 	}
 	return m, nil
 }
-
-// ParagonNodes is the default Paragon partition size.
-const ParagonNodes = 64
 
 // Paragon returns the Intel Paragon profile; see NewParagon.
 func Paragon() *Machine { return mustProfile(NewParagon()) }

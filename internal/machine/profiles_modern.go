@@ -16,10 +16,6 @@ import (
 // from their own measurements. The flat LinkMBps mirrors the inter-node
 // tier so code paths that see only the flat rate stay coherent.
 
-// MulticoreClusterNodes is the modeled partition: 8 dual-socket
-// quad-core nodes = 64 processing elements.
-const MulticoreClusterNodes = 64
-
 // MulticoreCluster returns the multi-core cluster profile; see
 // NewMulticoreCluster.
 func MulticoreCluster() *Machine { return mustProfile(NewMulticoreCluster()) }
@@ -122,10 +118,6 @@ func NewMulticoreCluster() (*Machine, error) {
 	}
 	return m, nil
 }
-
-// CrayXE6Nodes is the modeled partition: a 4x4x4 block of the Gemini
-// torus, 64 processing elements grouped 4 cores x 2 sockets x 8 nodes.
-const CrayXE6Nodes = 64
 
 // CrayXE6 returns the XE-like torus profile; see NewCrayXE6.
 func CrayXE6() *Machine { return mustProfile(NewCrayXE6()) }

@@ -169,11 +169,3 @@ func (c *cache) invalidate(addr int64) {
 		}
 	}
 }
-
-// invalidateAll empties the cache, as at a synchronization point.
-func (c *cache) invalidateAll() {
-	for i := range c.tags {
-		c.tags[i] = -1
-		c.dirty[i] = false
-	}
-}

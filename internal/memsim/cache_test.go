@@ -66,16 +66,6 @@ func TestCacheInvalidateClearsDirty(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidateAllClearsDirty(t *testing.T) {
-	c := newTestCache()
-	c.fill(0)
-	c.markDirty(0)
-	c.invalidateAll()
-	if c.lookup(0) {
-		t.Error("line survived invalidateAll")
-	}
-}
-
 func TestCacheLookupDoesNotTouchLRU(t *testing.T) {
 	cfg := testConfig()
 	cfg.Ways = 2

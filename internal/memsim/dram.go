@@ -124,9 +124,6 @@ func (d *dram) claimEngine(at int64, addr int64) (done int64) {
 	return d.freeAt
 }
 
-// freeTime returns when the bank next becomes idle.
-func (d *dram) freeTime() int64 { return d.freeAt }
-
 // reset idles the bank, closes its page and zeroes its counters.
 func (d *dram) reset() {
 	d.freeAt = 0

@@ -245,9 +245,6 @@ func (m *Memory) configure(cfg Config) {
 	m.Reset()
 }
 
-// Config returns the configuration the memory was built with.
-func (m *Memory) Config() Config { return m.cfg }
-
 // Cert returns the recurrence certificate of the memory's last run, or
 // the zero Cert (Period 0) when that run issued none.
 func (m *Memory) Cert() Cert { return m.cert }
@@ -269,13 +266,6 @@ func (m *Memory) Reset() {
 	m.pfqLastAddr = -1 << 40
 	m.cert = Cert{}
 }
-
-// InvalidateAll models a synchronization point: the T3D invalidates the
-// whole on-chip cache when the program reaches one (paper §3.5.1).
-func (m *Memory) InvalidateAll() { m.cache.invalidateAll() }
-
-// Invalidate drops one line, as the deposit engine does per remote store.
-func (m *Memory) Invalidate(addr int64) { m.cache.invalidate(addr) }
 
 // runBase snapshots the cumulative counters at the start of a run so the
 // Result can report per-run deltas.

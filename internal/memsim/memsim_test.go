@@ -304,16 +304,6 @@ func TestResetClearsState(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
-	m := MustNew(testConfig())
-	m.Run(pattern.NewStream(pattern.Contig(), 0, 64).Accesses(false))
-	m.InvalidateAll()
-	res := m.Run([]pattern.Access{{Addr: 0}})
-	if res.CacheHits != 0 {
-		t.Error("cache should be empty after InvalidateAll")
-	}
-}
-
 // Property: elapsed time is never less than DRAM busy time (single bank,
 // serialized claims) and is monotone in stream length.
 func TestElapsedBoundsProperty(t *testing.T) {

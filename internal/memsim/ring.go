@@ -29,9 +29,6 @@ func (r *ring) reset() {
 	clear(r.buf)
 }
 
-// front returns the oldest entry; the ring must be non-empty.
-func (r *ring) front() int64 { return r.buf[r.head] }
-
 // pop removes and returns the oldest entry; the ring must be non-empty.
 func (r *ring) pop() int64 {
 	v := r.buf[r.head]

@@ -24,7 +24,7 @@ func BenchmarkRateLookupInterpolated(b *testing.B) {
 	}
 }
 
-func BenchmarkEstimateQ(b *testing.B) {
+func BenchmarkEvaluateChained(b *testing.B) {
 	rt := PaperT3D()
 	caps := Caps{DepositAny: true}
 	expr, err := Chained(caps, pattern.Indexed(), pattern.Indexed())

@@ -205,39 +205,6 @@ func Evaluate(e Expr, rt *RateTable, congestion float64) (float64, error) {
 	}
 }
 
-// Constraint is a resource constraint (§3.3, rule "<"): Mult times the
-// operation's throughput may not exceed CapMBps (e.g. when every node
-// sends and receives simultaneously, 2·|Q| must fit the memory-system
-// bandwidth). Name documents the constrained resource.
-type Constraint struct {
-	Name    string
-	Mult    float64
-	CapMBps float64
-}
-
-// Apply caps the rate under the constraint.
-func (c Constraint) Apply(rate float64) float64 {
-	if c.Mult <= 0 {
-		return rate
-	}
-	if lim := c.CapMBps / c.Mult; rate > lim {
-		return lim
-	}
-	return rate
-}
-
-// EvaluateConstrained evaluates e and then applies each constraint.
-func EvaluateConstrained(e Expr, rt *RateTable, congestion float64, cons ...Constraint) (float64, error) {
-	r, err := Evaluate(e, rt, congestion)
-	if err != nil {
-		return 0, err
-	}
-	for _, c := range cons {
-		r = c.Apply(r)
-	}
-	return r, nil
-}
-
 // Bottleneck returns the leaf (basic or network transfer) that limits
 // the expression's throughput: the parallel branch with the minimum
 // rate, descending through sequential compositions into their slowest

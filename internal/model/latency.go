@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 )
 
 // Hockney characterization of a communication operation. The
@@ -25,34 +24,10 @@ type RateCurve struct {
 	StartupNs float64
 }
 
-// NewRateCurve validates and returns a curve.
-func NewRateCurve(rInfMBps, startupNs float64) (RateCurve, error) {
-	if rInfMBps <= 0 {
-		return RateCurve{}, fmt.Errorf("model: asymptotic rate must be positive, got %g", rInfMBps)
-	}
-	if startupNs < 0 {
-		return RateCurve{}, fmt.Errorf("model: negative startup %g", startupNs)
-	}
-	return RateCurve{RInfMBps: rInfMBps, StartupNs: startupNs}, nil
-}
-
 // NHalfBytes returns the half-performance message length n½ in bytes.
 func (c RateCurve) NHalfBytes() float64 {
 	// n½ = t0 · rInf ; MB/s · ns = 1e-3 bytes.
 	return c.StartupNs * c.RInfMBps * 1e-3
-}
-
-// TimeNs returns the transfer time of a message of n bytes.
-func (c RateCurve) TimeNs(bytes int64) float64 {
-	return c.StartupNs + float64(bytes)*1e3/c.RInfMBps
-}
-
-// RateMBps returns the effective throughput for a message of n bytes.
-func (c RateCurve) RateMBps(bytes int64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return float64(bytes) * 1e3 / c.TimeNs(bytes)
 }
 
 // FitRateCurve fits (rInf, t0) to measured (bytes, MB/s) samples by the
@@ -89,19 +64,4 @@ func FitRateCurve(bytes []int64, mbps []float64) (RateCurve, error) {
 		a = 0
 	}
 	return RateCurve{RInfMBps: 1e3 / b, StartupNs: a}, nil
-}
-
-// RelErr returns the curve's maximum relative rate error over samples.
-func (c RateCurve) RelErr(bytes []int64, mbps []float64) float64 {
-	worst := 0.0
-	for i := range bytes {
-		got := c.RateMBps(bytes[i])
-		if mbps[i] <= 0 {
-			continue
-		}
-		if e := math.Abs(got-mbps[i]) / mbps[i]; e > worst {
-			worst = e
-		}
-	}
-	return worst
 }

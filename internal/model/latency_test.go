@@ -6,43 +6,41 @@ import (
 	"testing/quick"
 )
 
-func TestRateCurveBasics(t *testing.T) {
-	c, err := NewRateCurve(100, 10000) // 100 MB/s, 10 us startup
-	if err != nil {
-		t.Fatal(err)
+// rate is the throughput the curve stands for: n bytes take
+// t0 + n/rInf.
+func rate(c RateCurve, bytes int64) float64 {
+	return float64(bytes) * 1e3 / (c.StartupNs + float64(bytes)*1e3/c.RInfMBps)
+}
+
+// relErr is the curve's maximum relative rate error over the samples.
+func relErr(c RateCurve, bytes []int64, mbps []float64) float64 {
+	worst := 0.0
+	for i := range bytes {
+		if e := math.Abs(rate(c, bytes[i])-mbps[i]) / mbps[i]; e > worst {
+			worst = e
+		}
 	}
+	return worst
+}
+
+func TestRateCurveBasics(t *testing.T) {
+	c := RateCurve{RInfMBps: 100, StartupNs: 10000} // 100 MB/s, 10 us startup
 	// n½ = t0 * rInf = 10000 ns * 100 MB/s = 1e6 ns·B/ms ... = 1000 B.
 	if got := c.NHalfBytes(); math.Abs(got-1000) > 1e-9 {
 		t.Errorf("n½ = %v, want 1000", got)
 	}
 	// At n = n½ the rate is half of rInf.
-	if got := c.RateMBps(1000); math.Abs(got-50) > 1e-9 {
+	if got := rate(c, 1000); math.Abs(got-50) > 1e-9 {
 		t.Errorf("rate(n½) = %v, want 50", got)
-	}
-	// Huge messages approach rInf.
-	if got := c.RateMBps(1 << 30); got < 99.9 {
-		t.Errorf("rate(1GB) = %v, want ~100", got)
-	}
-	if c.RateMBps(0) != 0 {
-		t.Error("zero-byte rate should be 0")
-	}
-}
-
-func TestNewRateCurveValidation(t *testing.T) {
-	if _, err := NewRateCurve(0, 0); err == nil {
-		t.Error("zero rate should fail")
-	}
-	if _, err := NewRateCurve(10, -1); err == nil {
-		t.Error("negative startup should fail")
 	}
 }
 
 func TestFitRateCurveExact(t *testing.T) {
-	truth, _ := NewRateCurve(80, 25000)
+	truth := RateCurve{RInfMBps: 80, StartupNs: 25000}
 	sizes := []int64{128, 1024, 8192, 65536, 1 << 20}
 	rates := make([]float64, len(sizes))
 	for i, n := range sizes {
-		rates[i] = truth.RateMBps(n)
+		rates[i] = rate(truth, n)
 	}
 	fit, err := FitRateCurve(sizes, rates)
 	if err != nil {
@@ -54,8 +52,8 @@ func TestFitRateCurveExact(t *testing.T) {
 	if math.Abs(fit.StartupNs-25000)/25000 > 1e-6 {
 		t.Errorf("t0 = %v, want 25000", fit.StartupNs)
 	}
-	if fit.RelErr(sizes, rates) > 1e-9 {
-		t.Errorf("rel err = %v", fit.RelErr(sizes, rates))
+	if e := relErr(fit, sizes, rates); e > 1e-9 {
+		t.Errorf("rel err = %v", e)
 	}
 }
 
@@ -74,22 +72,17 @@ func TestFitRateCurveValidation(t *testing.T) {
 // Property: fitting exact curve samples recovers the curve.
 func TestFitRoundTripProperty(t *testing.T) {
 	f := func(rRaw, tRaw uint16) bool {
-		r := float64(rRaw%500) + 1
-		t0 := float64(tRaw) * 10
-		truth, err := NewRateCurve(r, t0)
-		if err != nil {
-			return false
-		}
+		truth := RateCurve{RInfMBps: float64(rRaw%500) + 1, StartupNs: float64(tRaw) * 10}
 		sizes := []int64{64, 4096, 1 << 18}
 		rates := make([]float64, len(sizes))
 		for i, n := range sizes {
-			rates[i] = truth.RateMBps(n)
+			rates[i] = rate(truth, n)
 		}
 		fit, err := FitRateCurve(sizes, rates)
 		if err != nil {
 			return false
 		}
-		return fit.RelErr(sizes, rates) < 1e-6
+		return relErr(fit, sizes, rates) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -186,22 +186,6 @@ func TestEvaluateMissingRate(t *testing.T) {
 	}
 }
 
-func TestConstraint(t *testing.T) {
-	c := AAPCConstraint(100) // 2x|Q| <= 100 -> cap 50
-	if got := c.Apply(80); got != 50 {
-		t.Errorf("Apply(80) = %v, want 50", got)
-	}
-	if got := c.Apply(30); got != 30 {
-		t.Errorf("Apply(30) = %v, want 30", got)
-	}
-	rt := NewRateTable("test")
-	rt.SetKey("1C1", 120)
-	got, err := EvaluateConstrained(MustParse("1C1"), rt, 1, c)
-	if err != nil || got != 50 {
-		t.Errorf("EvaluateConstrained = %v,%v want 50,nil", got, err)
-	}
-}
-
 func TestStrideInterpolation(t *testing.T) {
 	rt := PaperT3D()
 	// Exact points return as-is.
@@ -425,27 +409,6 @@ func TestChainedBeatsPackingForNonContiguous(t *testing.T) {
 	}
 }
 
-func TestPVMStyleSlowerThanBufferPacking(t *testing.T) {
-	rt := PaperT3D()
-	caps := CapsOf(machine.T3D())
-	for _, pat := range [][2]pattern.Spec{
-		{pattern.Contig(), pattern.Contig()},
-		{pattern.Indexed(), pattern.Indexed()},
-	} {
-		pvm, err := Evaluate(PVMStyle(caps, pat[0], pat[1]), rt, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		packed, err := Evaluate(BufferPacking(caps, pat[0], pat[1]), rt, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pvm >= packed {
-			t.Errorf("%sQ%s: PVM %.1f >= packed %.1f", pat[0], pat[1], pvm, packed)
-		}
-	}
-}
-
 func TestChainedRequiresEngine(t *testing.T) {
 	caps := Caps{} // no engines at all
 	if _, err := Chained(caps, pattern.Contig(), pattern.Strided(64)); err == nil {
@@ -460,16 +423,6 @@ func TestChainedRequiresEngine(t *testing.T) {
 	if _, err := Chained(caps, pattern.Contig(), pattern.Contig()); err != nil {
 		t.Errorf("contiguous chain should work: %v", err)
 	}
-}
-
-func TestEstimateQ(t *testing.T) {
-	m := machine.T3D()
-	packed, chained, err := EstimateQ(m, PaperT3D(), pattern.Contig(), pattern.Strided(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, "EstimateQ packed", packed, 25.2, 0.05)
-	almost(t, "EstimateQ chained", chained, 38, 0.05)
 }
 
 // Property: parallel composition is commutative and Seq throughput never

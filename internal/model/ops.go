@@ -108,52 +108,3 @@ func Chained(c Caps, x, y pattern.Spec) (Expr, error) {
 	}
 	return NewPar(Basic{S(x)}, Net{mode}, recv), nil
 }
-
-// PVMStyle composes the portable-library variant of buffer packing:
-// like BufferPacking but with an additional copy through system buffers
-// on each side ("the performance of PVM is affected by additional copies
-// to temporary system buffers", §5.1.1). Per-message constant overhead
-// is a latency effect outside this throughput model; the communication
-// simulator accounts for it.
-func PVMStyle(c Caps, x, y pattern.Spec) Expr {
-	net := NewPar(c.sendStage(), Net{netsim.DataOnly}, c.recvStage())
-	one := pattern.Contig()
-	return NewSeq(
-		Basic{C(x, one)}, Basic{C(one, one)},
-		net,
-		Basic{C(one, one)}, Basic{C(one, y)},
-	)
-}
-
-// AAPCConstraint returns the memory-bandwidth constraint for patterns
-// where every node sends and receives at the same time (§3.4.1):
-// 2 × |xQy| must not exceed the node's memory bandwidth.
-func AAPCConstraint(busMBps float64) Constraint {
-	return Constraint{Name: "aapc-memory", Mult: 2, CapMBps: busMBps}
-}
-
-// Operation bundles an expression with the context needed to evaluate
-// it: a name, the machine's rate table and congestion.
-type Operation struct {
-	Name string
-	Expr Expr
-}
-
-// EstimateQ evaluates the buffer-packing and chained variants of xQy on
-// a machine profile with the supplied rate table at the machine's
-// default congestion, returning MB/s estimates. A variant the machine
-// cannot implement reports an error.
-func EstimateQ(m *machine.Machine, rt *RateTable, x, y pattern.Spec) (packed float64, chained float64, err error) {
-	caps := CapsOf(m)
-	packedExpr := BufferPacking(caps, x, y)
-	packed, err = Evaluate(packedExpr, rt, m.DefaultCongestion)
-	if err != nil {
-		return 0, 0, err
-	}
-	chainedExpr, cerr := Chained(caps, x, y)
-	if cerr != nil {
-		return packed, 0, cerr
-	}
-	chained, err = Evaluate(chainedExpr, rt, m.DefaultCongestion)
-	return packed, chained, err
-}

@@ -19,7 +19,6 @@ package model
 import (
 	"fmt"
 
-	"ctcomm/internal/netsim"
 	"ctcomm/internal/pattern"
 )
 
@@ -114,6 +113,3 @@ func R(write pattern.Spec) Term { return MustTerm(OpRecvStore, pattern.Fixed(), 
 
 // D returns the receive-deposit term 0Dy.
 func D(write pattern.Spec) Term { return MustTerm(OpRecvDeposit, pattern.Fixed(), write) }
-
-// NetName renders a network mode in the paper's notation.
-func NetName(m netsim.Mode) string { return m.String() }

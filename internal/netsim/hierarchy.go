@@ -245,21 +245,3 @@ func (c Config) LinkForRate(l Level, m Mode, mbps float64) (float64, error) {
 	}
 	return cong * 1e3 / (eff * wireNsPerByte), nil
 }
-
-// StartupAt returns the tier's per-message startup constant; for flat
-// configurations it is 0 (the machine-level library overhead holds it).
-func (c Config) StartupAt(l Level) float64 {
-	if c.Hier == nil {
-		return 0
-	}
-	return c.Hier.Level(l).StartupNs
-}
-
-// LevelOf selects the tier a src->dst transfer crosses; flat
-// configurations answer InterNode for every pair.
-func (c Config) LevelOf(src, dst int) Level {
-	if c.Hier == nil {
-		return InterNode
-	}
-	return c.Hier.LevelOf(src, dst)
-}

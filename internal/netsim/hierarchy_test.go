@@ -67,10 +67,6 @@ func TestLevelOfPlacement(t *testing.T) {
 			t.Errorf("LevelOf(%d, %d) = %v, want %v", c.src, c.dst, got, c.want)
 		}
 	}
-	// A flat config answers InterNode for every pair.
-	if got := testNetConfig().LevelOf(0, 1); got != InterNode {
-		t.Errorf("flat LevelOf = %v, want inter-node", got)
-	}
 }
 
 func TestHierarchyNormalizeInheritsOuterTiers(t *testing.T) {

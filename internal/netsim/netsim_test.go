@@ -488,6 +488,50 @@ func TestSendStreamMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestSendStreamPipelines checks the paper's §4 pipelining rule on the
+// path every point-to-point message takes. A message crossing h
+// resources in chunks is a flow shop: it completes in its bottleneck
+// stage's total work plus one chunk time per further hop to fill the
+// pipeline, which lies between the busiest stage's work (full overlap)
+// and the sum of all stages' work (no overlap).
+func TestSendStreamPipelines(t *testing.T) {
+	topo, _ := NewTorus3D(4, 4, 4)
+	f := func(srcRaw, dstRaw uint8, payloadRaw uint32, addrData bool) bool {
+		src, dst := int(srcRaw)%topo.Nodes(), int(dstRaw)%topo.Nodes()
+		if src == dst {
+			return true
+		}
+		mode := DataOnly
+		if addrData {
+			mode = AddrData
+		}
+		n := MustNewNetwork(topo, testNetConfig())
+		const at = sim.Time(1000)
+		span := n.SendStream(at, src, dst, int64(payloadRaw%(1<<20))+1, mode) - at
+		path := n.path(src, dst)
+		var sum, bottleneck sim.Time
+		for _, r := range path {
+			sum += r.Busy()
+			if r.Busy() > bottleneck {
+				bottleneck = r.Busy()
+			}
+		}
+		fill := chunkDur(int64(n.cfg.ChunkBytes), n.nsPerByteFor(src, dst))
+		if fill > bottleneck {
+			fill = bottleneck // a one-chunk message
+		}
+		if span != bottleneck+sim.Time(len(path)-1)*fill || span > sum {
+			t.Logf("%d->%d: span %v, bottleneck %v, fill %v over %d hops, serial %v",
+				src, dst, span, bottleneck, fill, len(path), sum)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestSendStreamFallsBackOnBusyPath overlaps two sends so the second
 // finds a busy injection port; the fast path must defer to Batch and
 // still match a pure-Batch network exactly.

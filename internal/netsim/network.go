@@ -101,12 +101,6 @@ func (n *Network) Release() {
 	pool.Put(geometry{len(n.links), len(n.inj)}, n)
 }
 
-// Topology returns the network's topology.
-func (n *Network) Topology() Topology { return n.topo }
-
-// Config returns the network's configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Reset returns all links and ports to idle and never claimed, in
 // place. The scratch buffers keep their capacity; they hold nothing
 // from one call to the next.

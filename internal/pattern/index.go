@@ -59,54 +59,6 @@ func AppendPermutation(buf []int64, n int, seed uint64) []int64 {
 	return buf
 }
 
-// BlockedPermutation permutes blocks of blockWords consecutive words.
-// This models irregular distributions that still move small dense blocks
-// (e.g. multi-word elements of sparse matrix rows).
-func BlockedPermutation(n, blockWords int, seed uint64) []int64 {
-	if blockWords < 1 {
-		blockWords = 1
-	}
-	blocks := (n + blockWords - 1) / blockWords
-	bp := Permutation(blocks, seed)
-	out := make([]int64, 0, n)
-	for _, b := range bp {
-		for w := 0; w < blockWords && len(out) < n; w++ {
-			off := b*int64(blockWords) + int64(w)
-			if off < int64(n) {
-				out = append(out, off)
-			}
-		}
-	}
-	// Pad in the rare case trailing partial blocks were skipped.
-	for len(out) < n {
-		out = append(out, int64(len(out)))
-	}
-	return out
-}
-
-// GatherIndices returns a sorted, duplicate-free selection of k word
-// offsets out of 0..n-1. This is the FEM halo-exchange shape: "only a
-// fraction of the local data elements is exchanged between nodes"
-// (paper §6.1.2).
-func GatherIndices(n, k int, seed uint64) []int64 {
-	if k > n {
-		k = n
-	}
-	// Reservoir-free selection: walk 0..n-1 keeping each with the
-	// probability needed to end with exactly k picks.
-	out := make([]int64, 0, k)
-	r := newRNG(seed)
-	need, left := k, n
-	for i := 0; i < n && need > 0; i++ {
-		if r.intn(left) < need {
-			out = append(out, int64(i))
-			need--
-		}
-		left--
-	}
-	return out
-}
-
 // IsPermutation reports whether index is a duplicate-free permutation of
 // 0..len(index)-1.
 func IsPermutation(index []int64) bool {

@@ -184,13 +184,3 @@ func ParseSpec(text string) (Spec, error) {
 	}
 	return Strided(n), nil
 }
-
-// MustParseSpec is like ParseSpec but panics on error. It is intended for
-// tests and package-level tables.
-func MustParseSpec(text string) Spec {
-	s, err := ParseSpec(text)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

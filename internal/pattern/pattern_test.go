@@ -263,62 +263,6 @@ func TestPermutationDeterministic(t *testing.T) {
 	}
 }
 
-func TestBlockedPermutationProperty(t *testing.T) {
-	f := func(seed uint64, nRaw, bRaw uint8) bool {
-		n := int(nRaw)%256 + 1
-		b := int(bRaw)%8 + 1
-		p := BlockedPermutation(n, b, seed)
-		return len(p) == n && IsPermutation(p)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBlockedPermutationKeepsBlocksContiguous(t *testing.T) {
-	const n, b = 64, 4
-	p := BlockedPermutation(n, b, 3)
-	for i := 0; i+b <= n; i += b {
-		for w := 1; w < b; w++ {
-			if p[i+w] != p[i]+int64(w) {
-				t.Fatalf("block at %d not contiguous: %v", i, p[i:i+b])
-			}
-		}
-	}
-}
-
-func TestGatherIndicesProperties(t *testing.T) {
-	f := func(seed uint64, nRaw, kRaw uint8) bool {
-		n := int(nRaw)%512 + 1
-		k := int(kRaw) % (n + 1)
-		g := GatherIndices(n, k, seed)
-		if len(g) != k {
-			return false
-		}
-		for i := 1; i < len(g); i++ {
-			if g[i] <= g[i-1] {
-				return false // must be strictly increasing (sorted, no dups)
-			}
-		}
-		for _, v := range g {
-			if v < 0 || v >= int64(n) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGatherIndicesClampsK(t *testing.T) {
-	g := GatherIndices(10, 50, 1)
-	if len(g) != 10 {
-		t.Errorf("len = %d, want 10", len(g))
-	}
-}
-
 func TestIsPermutationRejects(t *testing.T) {
 	if IsPermutation([]int64{0, 0}) {
 		t.Error("duplicate should not be a permutation")

@@ -96,10 +96,16 @@ func ParseOp(op string) (x, y pattern.Spec, err error) {
 	if err != nil {
 		return x, y, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	return x, y, requireMemory(op, x, y)
+}
+
+// requireMemory rejects an operation op = xQy unless both sides are
+// memory patterns.
+func requireMemory(op string, x, y pattern.Spec) error {
 	if !x.IsMemory() || !y.IsMemory() {
-		return x, y, badf("invalid operation %q: xQy requires memory patterns on both sides", op)
+		return badf("invalid operation %q: xQy requires memory patterns on both sides", op)
 	}
-	return x, y, nil
+	return nil
 }
 
 // parseLevel resolves an optional hierarchy-level spelling against m:
@@ -287,8 +293,8 @@ func eval(r EvalRequest, b *Batch) (EvalResponse, bool, error) {
 			return EvalResponse{}, false, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		rate, err := model.Evaluate(e, rt, cong)
-		if err != nil {
-			return EvalResponse{}, false, err
+		if err != nil { // a term the rate table does not cover
+			return EvalResponse{}, false, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		resp.Expr, resp.MBps = e.String(), rate
 		if level != nil {
@@ -429,22 +435,29 @@ type PlanResponse struct {
 }
 
 // ParseDist reads "BLOCK", "CYCLIC" or "CYCLIC(b)" (case-insensitive).
+// A failure wraps ErrBadRequest.
 func ParseDist(text string, n, p int) (distrib.Distribution, error) {
 	t := strings.ToUpper(strings.TrimSpace(text))
+	var d distrib.Distribution
+	var err error
 	switch {
 	case t == "BLOCK":
-		return distrib.NewBlock(n, p)
+		d, err = distrib.NewBlock(n, p)
 	case t == "CYCLIC":
-		return distrib.NewCyclic(n, p)
+		d, err = distrib.NewCyclic(n, p)
 	case strings.HasPrefix(t, "CYCLIC(") && strings.HasSuffix(t, ")"):
-		b, err := strconv.Atoi(t[len("CYCLIC(") : len(t)-1])
-		if err != nil {
-			return distrib.Distribution{}, badf("invalid block size in %q", text)
+		b, aerr := strconv.Atoi(t[len("CYCLIC(") : len(t)-1])
+		if aerr != nil {
+			return d, badf("invalid block size in %q", text)
 		}
-		return distrib.NewBlockCyclic(n, p, b)
+		d, err = distrib.NewBlockCyclic(n, p, b)
 	default:
-		return distrib.Distribution{}, badf("unknown distribution %q (want BLOCK, CYCLIC or CYCLIC(b))", text)
+		return d, badf("unknown distribution %q (want BLOCK, CYCLIC or CYCLIC(b))", text)
 	}
+	if err != nil {
+		return d, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return d, nil
 }
 
 // Plan answers a PlanRequest.
@@ -479,6 +492,9 @@ func plan(r PlanRequest, b *Batch) (PlanResponse, bool, error) {
 	}
 	if r.P > collective.MaxNodes {
 		return PlanResponse{}, false, badf("processor count p %d exceeds the %d-processor limit", r.P, collective.MaxNodes)
+	}
+	if r.Transpose%r.P != 0 {
+		return PlanResponse{}, false, badf("processor count p %d does not divide transpose size %d", r.P, r.Transpose)
 	}
 	m, err := b.Machine(r.Machine)
 	if err != nil {
@@ -689,6 +705,9 @@ func price(r PriceRequest, b *Batch) (PriceResponse, bool, error) {
 	y, err := pattern.ParseSpec(r.Y)
 	if err != nil {
 		return PriceResponse{}, false, fmt.Errorf("%w: y: %v", ErrBadRequest, err)
+	}
+	if err := requireMemory(r.X+"Q"+r.Y, x, y); err != nil {
+		return PriceResponse{}, false, err
 	}
 	opt := comm.Options{Words: r.Words, Congestion: r.Congestion, Duplex: r.Duplex}
 	var res comm.Result

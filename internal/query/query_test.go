@@ -83,10 +83,34 @@ func TestEvalBadRequests(t *testing.T) {
 		{Op: "Q1"},                    // bad op
 		{Rates: "measured", Expr: "1C1"},
 		{Op: "0Q64"}, {Op: "64Q0"}, {Op: "0Q0"}, // the port is no memory pattern
+		{Expr: "2C2"}, // a term the rate table does not cover
 	}
 	for _, req := range cases {
 		if _, err := Eval(req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("Eval(%+v) err = %v, want ErrBadRequest", req, err)
+		}
+	}
+}
+
+// TestClientInputIsBadRequest pins inputs that once failed without
+// ErrBadRequest, so a server answered them 500 as if it were at fault.
+func TestClientInputIsBadRequest(t *testing.T) {
+	for _, style := range []string{"buffer-packing", "chained", "direct", "pvm"} {
+		for _, xy := range [][2]string{{"0", "64"}, {"64", "0"}, {"0", "0"}} {
+			req := PriceRequest{Style: style, X: xy[0], Y: xy[1], Words: 64}
+			if _, err := Price(req); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("Price(%+v) err = %v, want ErrBadRequest", req, err)
+			}
+		}
+	}
+	for _, req := range []PlanRequest{
+		{Src: "CYCLIC(0)", Dst: "BLOCK", N: 64, P: 4},
+		{Src: "BLOCK", Dst: "CYCLIC(-2)", N: 64, P: 4},
+		{Transpose: 3, P: 8},
+		{Transpose: 10, P: 4},
+	} {
+		if _, err := Plan(req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Plan(%+v) err = %v, want ErrBadRequest", req, err)
 		}
 	}
 }

@@ -442,13 +442,6 @@ func (s *Store) Flush() {
 	s.flushLocked()
 }
 
-// Compact forces a snapshot rewrite now.
-func (s *Store) Compact() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compactLocked()
-}
-
 // Stats returns a copy of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -227,9 +227,6 @@ func Open(cfg Config) (*Server, error) {
 // it when shutdown begins so routers stop sending new work.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports whether drain has been announced.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // WarmLoaded reports how many cache entries were loaded from the
 // persistent snapshot at startup.
 func (s *Server) WarmLoaded() int64 { return s.warmLoaded.Load() }

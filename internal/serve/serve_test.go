@@ -121,6 +121,9 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/plan", `{"n":1024,"p":4097}`, http.StatusBadRequest},
 		{"/v1/price", `{"x":"1","y":"1","style":"mpi"}`, http.StatusBadRequest},
 		{"/v1/price", `{"x":"1","y":"1","style":"direct","words":2147483649}`, http.StatusBadRequest},
+		{"/v1/price", `{"x":"0","y":"64","words":64}`, http.StatusBadRequest}, // the port is no memory pattern
+		{"/v1/plan", `{"src":"CYCLIC(0)","dst":"BLOCK","n":64,"p":4}`, http.StatusBadRequest},
+		{"/v1/plan", `{"transpose":3,"p":8}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if w := post(s, c.path, c.body); w.Code != c.want {

@@ -8,7 +8,6 @@ import "fmt"
 // frees. Resources also account their total busy time so utilization and
 // bottleneck analyses can be reported.
 type Resource struct {
-	name     string
 	freeAt   Time
 	busy     Time
 	claims   int64
@@ -17,20 +16,12 @@ type Resource struct {
 	everUsed bool
 }
 
-// NewResource returns an idle resource with the given diagnostic name.
-func NewResource(name string) *Resource {
-	return &Resource{name: name}
-}
-
-// Name returns the diagnostic name of the resource.
-func (r *Resource) Name() string { return r.name }
-
 // Claim reserves the resource for dur starting no earlier than at and
 // returns the interval [start, end) actually granted. Claims serialize:
 // if the resource is busy at at, the claim starts when it frees.
 func (r *Resource) Claim(at Time, dur Time) (start, end Time) {
 	if dur < 0 {
-		panic(fmt.Sprintf("sim: negative claim duration %v on %s", dur, r.name))
+		panic(fmt.Sprintf("sim: negative claim duration %v", dur))
 	}
 	start = at
 	if r.freeAt > start {
@@ -87,36 +78,4 @@ func (r *Resource) Utilization() float64 {
 		return 0
 	}
 	return float64(r.busy) / float64(r.lastUse-r.firstUse)
-}
-
-// Reset returns the resource to its initial idle state.
-func (r *Resource) Reset() {
-	*r = Resource{name: r.name}
-}
-
-// Pipeline pushes a sequence of stage durations through an ordered list
-// of resources, chunk by chunk, and returns the makespan. Chunk i may not
-// enter stage s+1 before it leaves stage s, and each stage processes
-// chunks in order (a classic flow-shop with FIFO stages). durations[i][s]
-// is the service time of chunk i on stage s; a zero duration passes
-// through instantly. This is the steady-state pipelining the paper
-// assumes for composed transfers ("obtained through pipelining", §4).
-func Pipeline(resources []*Resource, durations [][]Time) Time {
-	if len(resources) == 0 {
-		return 0
-	}
-	var finish Time
-	ready := make([]Time, len(durations)) // when chunk i is ready for next stage
-	for s, res := range resources {
-		for i := range durations {
-			d := durations[i][s]
-			start, end := res.Claim(ready[i], d)
-			_ = start
-			ready[i] = end
-			if end > finish {
-				finish = end
-			}
-		}
-	}
-	return finish
 }

@@ -15,12 +15,3 @@ func BenchmarkAnalyze(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkClassifyTrace(b *testing.B) {
-	tr := Record(pattern.NewStream(pattern.StridedBlock(64, 2), 0, 1<<14), false)
-	for i := 0; i < b.N; i++ {
-		if _, err := ClassifyTrace(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -10,7 +10,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"ctcomm/internal/pattern"
 )
@@ -36,11 +35,6 @@ func Record(st *pattern.Stream, write bool) *Trace {
 		t.Events[i] = Event{Addr: a.Addr, Write: a.Write, Overhead: a.Overhead}
 	}
 	return t
-}
-
-// Append adds events from another trace (e.g. the write side of a copy).
-func (t *Trace) Append(o *Trace) {
-	t.Events = append(t.Events, o.Events...)
 }
 
 // Len returns the number of recorded events.
@@ -141,74 +135,4 @@ func Analyze(t *Trace, lineBytes, pageBytes int) (Stats, error) {
 		s.DominantStrideShare = float64(bestN) / float64(s.Accesses-1)
 	}
 	return s, nil
-}
-
-// ClassifyTrace infers the symbolic access pattern of a trace from its
-// payload addresses — the inverse of pattern.Stream. It reports
-// contiguous, strided (with the detected stride), block-strided, or
-// indexed.
-func ClassifyTrace(t *Trace) (pattern.Spec, error) {
-	offsets := make([]int64, 0, len(t.Events))
-	var base int64
-	first := true
-	for _, e := range t.Events {
-		if e.Overhead {
-			continue
-		}
-		if first {
-			base = e.Addr
-			first = false
-		}
-		offsets = append(offsets, (e.Addr-base)/8)
-	}
-	switch len(offsets) {
-	case 0:
-		return pattern.Spec{}, fmt.Errorf("trace: no payload accesses")
-	case 1:
-		return pattern.Contig(), nil
-	}
-	// Reuse the same classification logic as the distribution planner:
-	// detect the dense run length, then verify the block-strided law.
-	if offsets[1]-offsets[0] < 1 {
-		return pattern.Indexed(), nil
-	}
-	block := 1
-	for block < len(offsets) && offsets[block]-offsets[block-1] == 1 {
-		block++
-	}
-	if block == len(offsets) {
-		return pattern.Contig(), nil
-	}
-	stride := offsets[block] - offsets[0]
-	if stride <= int64(block) || stride > 1<<30 {
-		return pattern.Indexed(), nil
-	}
-	for i := range offsets {
-		want := offsets[0] + int64(i/block)*stride + int64(i%block)
-		if offsets[i] != want {
-			return pattern.Indexed(), nil
-		}
-	}
-	return pattern.StridedBlock(int(stride), block), nil
-}
-
-// Histogram returns the access-count-per-page distribution, sorted by
-// page number — a compact picture of the footprint's shape.
-type PageBin struct {
-	Page  int64
-	Count int
-}
-
-// PageHistogram bins accesses by memory page.
-func PageHistogram(t *Trace, pageBytes int) []PageBin {
-	counts := make(map[int64]int)
-	for _, e := range t.Events {
-		counts[e.Addr/int64(pageBytes)]++
-	}
-	out := make([]PageBin, 0, len(counts))
-	for p, n := range counts {
-		out = append(out, PageBin{Page: p, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })
-	return out
 }

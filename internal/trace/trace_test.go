@@ -2,7 +2,6 @@ package trace
 
 import (
 	"testing"
-	"testing/quick"
 
 	"ctcomm/internal/pattern"
 )
@@ -119,102 +118,6 @@ func TestTemporalReuseDetected(t *testing.T) {
 	}
 	if s.TemporalReuse != 0.5 {
 		t.Errorf("temporal reuse = %v, want 0.5", s.TemporalReuse)
-	}
-}
-
-// ClassifyTrace must invert pattern.Stream for every pattern class.
-func TestClassifyTraceRoundTrip(t *testing.T) {
-	cases := []pattern.Spec{
-		pattern.Contig(),
-		pattern.Strided(4),
-		pattern.Strided(64),
-		pattern.StridedBlock(8, 2),
-		pattern.StridedBlock(64, 4),
-	}
-	for _, spec := range cases {
-		tr := Record(pattern.NewStream(spec, 4096, 64), false)
-		got, err := ClassifyTrace(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != spec {
-			t.Errorf("ClassifyTrace(%v) = %v", spec, got)
-		}
-	}
-	// A permutation classifies as indexed.
-	idx := pattern.Permutation(64, 9)
-	tr := Record(pattern.NewStream(pattern.Indexed(), 0, 64).WithIndex(idx), false)
-	got, err := ClassifyTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != pattern.Indexed() {
-		t.Errorf("permutation classified as %v", got)
-	}
-}
-
-func TestClassifyTraceIgnoresOverhead(t *testing.T) {
-	idx := make([]int64, 8)
-	for i := range idx {
-		idx[i] = int64(i) // identity "index array" -> contiguous payload
-	}
-	tr := Record(pattern.NewStream(pattern.Indexed(), 0, 8).WithIndex(idx), false)
-	got, err := ClassifyTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != pattern.Contig() {
-		t.Errorf("identity-indexed trace = %v, want contiguous", got)
-	}
-}
-
-func TestClassifyTraceErrors(t *testing.T) {
-	if _, err := ClassifyTrace(&Trace{}); err == nil {
-		t.Error("empty trace should fail")
-	}
-}
-
-func TestClassifyTraceRoundTripProperty(t *testing.T) {
-	f := func(sRaw, bRaw uint8) bool {
-		s := int(sRaw)%100 + 2
-		// Keep the run length well below the trace so at least two full
-		// runs are visible (classification needs to see the stride).
-		maxB := s - 1
-		if maxB > 12 {
-			maxB = 12
-		}
-		b := int(bRaw)%maxB + 1
-		spec := pattern.StridedBlock(s, b)
-		tr := Record(pattern.NewStream(spec, 0, 48), false)
-		got, err := ClassifyTrace(tr)
-		return err == nil && got == spec
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPageHistogram(t *testing.T) {
-	tr := Record(pattern.NewStream(pattern.Contig(), 0, 512), false) // 4 KB = 2 pages
-	bins := PageHistogram(tr, 2048)
-	if len(bins) != 2 || bins[0].Count != 256 || bins[1].Count != 256 {
-		t.Errorf("bins = %+v", bins)
-	}
-	if bins[0].Page >= bins[1].Page {
-		t.Error("bins not sorted")
-	}
-}
-
-func TestAppend(t *testing.T) {
-	a := Record(pattern.NewStream(pattern.Contig(), 0, 4), false)
-	b := Record(pattern.NewStream(pattern.Contig(), 1<<20, 4), true)
-	a.Append(b)
-	if a.Len() != 8 {
-		t.Errorf("len = %d, want 8", a.Len())
-	}
-	s, _ := Analyze(a, 32, 2048)
-	if s.Reads != 4 || s.Writes != 4 {
-		t.Errorf("reads/writes = %d/%d", s.Reads, s.Writes)
 	}
 }
 
